@@ -10,9 +10,8 @@ their operand sizes grow with n.
 from __future__ import annotations
 
 import math
-import statistics
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .partitions import PartitionTable
 from .pentagonal import closed_form_series
@@ -23,8 +22,7 @@ CSV_HEADER = "task,n,wall_ns,max_coeff_bits"
 REPETITIONS = 5
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     task: str
     n: int
     wall_ns: int
@@ -63,6 +61,8 @@ def _peak_bits(result) -> int:
 
 def run_bench(sizes: list[int], repetitions: int = REPETITIONS) -> list[BenchRecord]:
     """One BenchRecord per (size, task), sizes outermost."""
+    import statistics  # deferred: the other CLI commands never need it
+
     records = []
     for n in sizes:
         for name, fn in _TASKS:

@@ -6,9 +6,9 @@
     pentaseries bench     --sizes 2000,4000,8000 [--format csv|json]
 
 Exit codes: 0 success (all checks pass), 1 mathematical mismatch, 2 usage or
-precondition error.  JSON is emitted canonically (fixed key order, no spaces,
-coefficients as decimal strings), so re-serializing a parsed payload gives
-back the same bytes.
+precondition error, including an input too large for memory.  JSON is emitted
+canonically (fixed key order, no spaces, coefficients as decimal strings), so
+re-serializing a parsed payload gives back the same bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .bench import records_to_csv, records_to_json_objs, run_bench
 from .partitions import iterated_division_check, partition_count, partition_values
@@ -26,18 +25,6 @@ from .series import TruncatedSeries, partial_product, series_to_json
 from .telescoping import stage_emissions, stream_series, verify_stage
 
 _EXPAND_ORDER = ("product", "method1", "method2", "closed")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    order: int = 0
-    method: str = "closed"
-    fmt: str = "text"
-    depth: int = 1
-    roots: int = 10
-    sizes: tuple[int, ...] = ()
-    single: bool = False
 
 
 def canonical_json(obj) -> str:
@@ -72,20 +59,20 @@ def _build_series(method: str, order: int) -> TruncatedSeries:
     return stream_series(method, order)
 
 
-def cmd_expand(cfg: RunConfig) -> int:
-    if cfg.method != "all":
-        s = _build_series(cfg.method, cfg.order)
-        if cfg.fmt == "json":
+def cmd_expand(method: str, order: int, fmt: str) -> int:
+    if method != "all":
+        s = _build_series(method, order)
+        if fmt == "json":
             print(canonical_json(series_to_json(s)))
         else:
             print(format_series(s))
         return 0
 
-    results = {name: _build_series(name, cfg.order) for name in _EXPAND_ORDER}
+    results = {name: _build_series(name, order) for name in _EXPAND_ORDER}
     reference = results["product"]
     verdicts = {name: results[name] == reference for name in _EXPAND_ORDER[1:]}
     all_agree = all(verdicts.values())
-    if cfg.fmt == "json":
+    if fmt == "json":
         payload = series_to_json(reference)
         payload["agree"] = verdicts
         print(canonical_json(payload))
@@ -97,48 +84,49 @@ def cmd_expand(cfg: RunConfig) -> int:
     return 0 if all_agree else 1
 
 
-def cmd_partition(cfg: RunConfig) -> int:
-    if cfg.single:
-        p = partition_count(cfg.order)
-        if cfg.fmt == "json":
-            print(canonical_json({"n": cfg.order, "p": str(p)}))
+def cmd_partition(n: int | None, upto: int | None, fmt: str) -> int:
+    """Exactly one of n (p(n) only) and upto (p(0)..p(upto)) is given."""
+    if n is not None:
+        p = partition_count(n)
+        if fmt == "json":
+            print(canonical_json({"n": n, "p": str(p)}))
         else:
             print(p)
         return 0
-    values = partition_values(cfg.order)
-    if cfg.fmt == "json":
-        print(canonical_json({"upto": cfg.order, "p": [str(v) for v in values]}))
+    values = partition_values(upto)
+    if fmt == "json":
+        print(canonical_json({"upto": upto, "p": [str(v) for v in values]}))
     else:
         print(" ".join(str(v) for v in values))
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(depth: int, order: int, roots: int) -> int:
     for method in ("method1", "method2"):
         # mirror verify_stage's requirement: method 2's identity for stage m
         # involves the emissions of stage m+1
-        identity_stage = cfg.depth if method == "method1" else cfg.depth + 1
+        identity_stage = depth if method == "method1" else depth + 1
         needed = stage_emissions(method, identity_stage)[1]
-        if cfg.order < needed:
+        if order < needed:
             print(
-                f"order below stage emissions: stage {cfg.depth} ({method}) "
-                f"needs exponent {needed}, got order {cfg.order}",
+                f"order below stage emissions: stage {depth} ({method}) "
+                f"needs exponent {needed}, got order {order}",
                 file=sys.stderr,
             )
             return 2
 
     failures = 0
     for method in ("method1", "method2"):
-        for m in range(1, cfg.depth + 1):
-            ok = verify_stage(method, m, cfg.order)
+        for m in range(1, depth + 1):
+            ok = verify_stage(method, m, order)
             failures += not ok
             print(f"stage {method} m={m}: {'pass' if ok else 'FAIL'}")
-    ok = iterated_division_check(cfg.depth, cfg.order)
+    ok = iterated_division_check(depth, order)
     failures += not ok
-    print(f"division depth={cfg.depth}: {'pass' if ok else 'FAIL'}")
-    for d in range(1, cfg.roots + 1):
-        expected = cfg.roots // d
-        measured = root_multiplicity(cfg.roots, d)
+    print(f"division depth={depth}: {'pass' if ok else 'FAIL'}")
+    for d in range(1, roots + 1):
+        expected = roots // d
+        measured = root_multiplicity(roots, d)
         ok = measured == expected
         failures += not ok
         print(f"root d={d} expected={expected} measured={measured} {'match' if ok else 'MISMATCH'}")
@@ -146,9 +134,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if not failures else 1
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    records = run_bench(list(cfg.sizes))
-    if cfg.fmt == "json":
+def cmd_bench(sizes: tuple[int, ...], fmt: str) -> int:
+    records = run_bench(list(sizes))
+    if fmt == "json":
         print(canonical_json(records_to_json_objs(records)))
     else:
         print(records_to_csv(records))
@@ -177,8 +165,9 @@ def _size_list(text: str) -> tuple[int, ...]:
         sizes = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not sizes or any(s < 0 for s in sizes):
-        raise argparse.ArgumentTypeError("sizes must be non-negative")
+    # fitted_exponent takes log(n), so every size must be positive
+    if not sizes or any(s < 1 for s in sizes):
+        raise argparse.ArgumentTypeError("sizes must be >= 1")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise argparse.ArgumentTypeError("sizes must be strictly increasing")
     return sizes
@@ -221,23 +210,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    if ns.command == "expand":
-        cfg = RunConfig("expand", order=ns.order, method=ns.method, fmt=ns.format)
-        return cmd_expand(cfg)
-    if ns.command == "partition":
-        single = ns.n is not None
-        cfg = RunConfig(
-            "partition",
-            order=ns.n if single else ns.upto,
-            fmt=ns.format,
-            single=single,
-        )
-        return cmd_partition(cfg)
-    if ns.command == "verify":
-        cfg = RunConfig("verify", order=ns.order, depth=ns.depth, roots=ns.roots)
-        return cmd_verify(cfg)
-    cfg = RunConfig("bench", sizes=ns.sizes, fmt=ns.format)
-    return cmd_bench(cfg)
+    try:
+        if ns.command == "expand":
+            return cmd_expand(ns.method, ns.order, ns.format)
+        if ns.command == "partition":
+            return cmd_partition(ns.n, ns.upto, ns.format)
+        if ns.command == "verify":
+            return cmd_verify(ns.depth, ns.order, ns.roots)
+        return cmd_bench(ns.sizes, ns.format)
+    except MemoryError:
+        # a resource failure is a precondition error, never a mismatch (1)
+        print(f"out of memory: {ns.command} input too large", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

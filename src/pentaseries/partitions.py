@@ -10,7 +10,9 @@ into a recurrence:
 with terms dropped once the argument goes negative.  Roughly 2*sqrt(2n/3)
 earlier values contribute per n, so filling a table to n costs O(n^1.5)
 big-integer additions, versus O(n^2) multiplications for direct series
-inversion.  Both routes are implemented; their agreement is one of the
+inversion.  The table builds the offsets gpent(k) <= n once per extension,
+split by sign into two ascending lists (odd k added, even k subtracted), and
+each new entry is one sum over the prefix of each list that is <= m.  Both routes are implemented; their agreement is one of the
 artifact's cross-checks, with a small enumeration oracle as the third leg.
 """
 
@@ -40,21 +42,29 @@ class PartitionTable:
 
     def extend_to(self, n: int) -> None:
         vals = self._values
-        while len(vals) <= n:
-            m = len(vals)
-            total = 0
-            k = 1
-            while True:
-                g = gpent(k)
-                if g > m:
-                    break
-                sign = 1 if k % 2 else -1
-                total += sign * vals[m - g]
-                g2 = gpent(-k)
-                if g2 <= m:
-                    total += sign * vals[m - g2]
-                k += 1
-            vals.append(total)
+        if len(vals) > n:
+            return
+        # Offsets gpent(k) <= n split by the sign (-1)^(k+1) of their term,
+        # each list ascending because gpent(k) < gpent(-k) < gpent(k+1).
+        plus: list[int] = []
+        minus: list[int] = []
+        k = 1
+        while (g := gpent(k)) <= n:
+            side = plus if k % 2 else minus
+            side.append(g)
+            if (g := gpent(-k)) <= n:
+                side.append(g)
+            k += 1
+        # ip / im count the offsets <= m, i.e. the terms entry m uses.
+        ip = im = 0
+        for m in range(len(vals), n + 1):
+            while ip < len(plus) and plus[ip] <= m:
+                ip += 1
+            while im < len(minus) and minus[im] <= m:
+                im += 1
+            vals.append(
+                sum([vals[m - g] for g in plus[:ip]]) - sum([vals[m - g] for g in minus[:im]])
+            )
 
     def count(self, n: int) -> int:
         if n < 0:

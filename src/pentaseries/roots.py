@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .series import convolve
+from .series import convolve, partial_product
 
 _CYCLOTOMIC_LIMIT = 10000
 
@@ -107,21 +107,14 @@ def cyclotomic(d: int) -> IntPolynomial:
     return quot
 
 
-@lru_cache(maxsize=64)
-def _partial_product_poly(factors: int) -> IntPolynomial:
-    p = IntPolynomial([1])
-    for k in range(1, factors + 1):
-        p = poly_mul(p, IntPolynomial([1] + [0] * (k - 1) + [-1]))
-    return p
-
-
 def root_multiplicity(factors: int, d: int) -> int:
     """Multiplicity of the primitive d-th roots of unity in
     (1-x)(1-x^2)...(1-x^factors), by repeated exact division."""
     if factors < 0:
         raise ValueError("negative factor count")
     phi = cyclotomic(d)
-    p = _partial_product_poly(factors)
+    # degree factors(factors+1)/2 is the full product, so nothing is truncated
+    p = IntPolynomial(partial_product(factors, factors * (factors + 1) // 2).coeffs)
     count = 0
     while True:
         quot, rem = poly_divrem(p, phi)

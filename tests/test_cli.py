@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from pentaseries import cli
 from pentaseries.cli import canonical_json, format_series, main
 from pentaseries.partitions import partition_series
 from pentaseries.series import series_from_coeffs
@@ -176,6 +179,42 @@ def test_bench_rejects_unordered_sizes(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "bench", "--sizes", "abc")
     assert code == 2
+
+
+def test_bench_rejects_size_zero(capsys):
+    # fitted_exponent takes log(n), so n = 0 is no usable data point
+    code, _, err = run_cli(capsys, "bench", "--sizes", "0")
+    assert code == 2
+    assert "sizes must be >= 1" in err
+    code, _, _ = run_cli(capsys, "bench", "--sizes", "0,50")
+    assert code == 2
+
+
+def test_memory_error_exits_2_not_mismatch(capsys, monkeypatch):
+    def exhausted(order):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "closed_form_series", exhausted)
+    code, out, err = run_cli(capsys, "expand", "--method", "closed", "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "out of memory" in err
+
+
+def test_cli_import_skips_unused_stdlib_modules():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    unused = ("dataclasses", "inspect", "statistics")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import pentaseries.cli, sys; print([m for m in {unused!r} if m in sys.modules])"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():

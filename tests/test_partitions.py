@@ -8,7 +8,7 @@ from pentaseries.partitions import (
     partition_series,
     partition_values,
 )
-from pentaseries.pentagonal import closed_form_series
+from pentaseries.pentagonal import closed_form_series, gpent
 from pentaseries.series import series_from_coeffs, series_mul
 
 
@@ -93,6 +93,45 @@ def test_defining_identity():
     n = 120
     prod = series_mul(partition_series(n), closed_form_series(n))
     assert prod == series_from_coeffs([1] + [0] * n)
+
+
+def per_term_recurrence(n):
+    """The original table fill, calling gpent twice per term; slow oracle."""
+    vals = [1]
+    while len(vals) <= n:
+        m = len(vals)
+        total = 0
+        k = 1
+        while True:
+            g = gpent(k)
+            if g > m:
+                break
+            sign = 1 if k % 2 else -1
+            total += sign * vals[m - g]
+            g2 = gpent(-k)
+            if g2 <= m:
+                total += sign * vals[m - g2]
+            k += 1
+        vals.append(total)
+    return tuple(vals)
+
+
+def test_split_sign_recurrence_matches_per_term_oracle():
+    oracle = per_term_recurrence(3000)
+    table = PartitionTable()
+    table.extend_to(3000)
+    assert table.values == oracle
+
+
+def test_uneven_extensions_match_one_call():
+    # later calls start with len(values) > 1, so the offset cursors must
+    # skip the offsets below the first new entry
+    oracle = per_term_recurrence(3000)
+    table = PartitionTable()
+    for n in (0, 1, 2, 7, 100, 101, 1500, 3000):
+        table.extend_to(n)
+        assert table.computed_upto == n
+        assert table.values == oracle[: n + 1]
 
 
 def test_big_value_exceeds_machine_words():

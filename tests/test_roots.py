@@ -1,5 +1,6 @@
 import pytest
 
+from pentaseries import roots
 from pentaseries.roots import (
     IntPolynomial,
     cyclotomic,
@@ -138,6 +139,28 @@ def test_multiplicity_floor_rule():
     for m in range(13):
         for d in range(1, 13):
             assert root_multiplicity(m, d) == m // d
+
+
+def dense_binomial_product(m):
+    """(1-x)...(1-x^m) by poly_mul with each dense binomial; slow oracle."""
+    p = IntPolynomial([1])
+    for k in range(1, m + 1):
+        p = poly_mul(p, IntPolynomial([1] + [0] * (k - 1) + [-1]))
+    return p
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 30])
+def test_multiplicity_divides_the_full_product(monkeypatch, m):
+    dividends = []
+
+    def recording_divrem(a, b):
+        dividends.append(a)
+        return poly_divrem(a, b)
+
+    monkeypatch.setattr(roots, "poly_divrem", recording_divrem)
+    assert root_multiplicity(m, 1) == m
+    assert dividends[0] == dense_binomial_product(m)
+    assert dividends[0].degree == m * (m + 1) // 2
 
 
 def test_degree_bookkeeping():
