@@ -33,13 +33,11 @@ from .roots import (
 )
 from .series import (
     TruncatedSeries,
-    agrees_upto,
     convolve,
     div_binomial,
     mul_binomial,
     partial_product,
     series_add,
-    series_from_coeffs,
     series_from_json,
     series_inverse,
     series_mul,
@@ -66,7 +64,6 @@ __all__ = [
     "StageState",
     "Term",
     "TruncatedSeries",
-    "agrees_upto",
     "closed_form_series",
     "convolve",
     "cyclotomic",
@@ -92,7 +89,6 @@ __all__ = [
     "root_multiplicity",
     "run_bench",
     "series_add",
-    "series_from_coeffs",
     "series_from_json",
     "series_inverse",
     "series_mul",

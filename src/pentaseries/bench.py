@@ -13,9 +13,8 @@ import math
 import time
 from typing import NamedTuple
 
-from .partitions import PartitionTable
-from .pentagonal import closed_form_series
-from .series import TruncatedSeries, partial_product, series_inverse
+from .partitions import partition_series, partition_values
+from .series import partial_product
 
 CSV_HEADER = "task,n,wall_ns,max_coeff_bits"
 
@@ -29,34 +28,18 @@ class BenchRecord(NamedTuple):
     max_coeff_bits: int
 
 
-def _task_product(n: int) -> TruncatedSeries:
-    return partial_product(n, n)
-
-
-def _task_partition_inverse(n: int) -> TruncatedSeries:
-    return series_inverse(closed_form_series(n))
-
-
-def _task_partition_recurrence(n: int) -> PartitionTable:
-    table = PartitionTable()
-    table.count(n)
-    return table
-
-
+# Each task returns the coefficient sequence it computed.
 _TASKS = (
-    ("product", _task_product),
-    ("partition_inverse", _task_partition_inverse),
-    ("partition_recurrence", _task_partition_recurrence),
+    ("product", lambda n: partial_product(n, n).coeffs),
+    ("partition_inverse", lambda n: partition_series(n).coeffs),
+    ("partition_recurrence", partition_values),
 )
 
 TASK_NAMES = tuple(name for name, _ in _TASKS)
 
 
-def _peak_bits(result) -> int:
-    if isinstance(result, PartitionTable):
-        # entries grow monotonically, so the last one is the peak
-        return result.values[-1].bit_length()
-    return max(abs(c).bit_length() for c in result.coeffs)
+def _peak_bits(coeffs) -> int:
+    return max(abs(c).bit_length() for c in coeffs)
 
 
 def run_bench(sizes: list[int], repetitions: int = REPETITIONS) -> list[BenchRecord]:

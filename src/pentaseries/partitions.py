@@ -10,24 +10,21 @@ into a recurrence:
 with terms dropped once the argument goes negative.  Roughly 2*sqrt(2n/3)
 earlier values contribute per n, so filling a table to n costs O(n^1.5)
 big-integer additions, versus O(n^2) multiplications for direct series
-inversion.  The table builds the offsets gpent(k) <= n once per extension,
-split by sign into two ascending lists (odd k added, even k subtracted), and
-each new entry is one sum over the prefix of each list that is <= m.  Both routes are implemented; their agreement is one of the
+inversion.  The table takes the offsets <= n from pent_terms_upto once per
+extension, split by sign into two ascending lists (odd k added, even k
+subtracted), and each new entry is one sum over the prefix of each list
+that is <= m.  Both routes are implemented; their agreement is one of the
 artifact's cross-checks, with a small enumeration oracle as the third leg.
 """
 
 from __future__ import annotations
 
-from .pentagonal import closed_form_series, gpent
+from .pentagonal import closed_form_series, pent_terms_upto
 from .series import TruncatedSeries, div_binomial, series_inverse
 
 
 class PartitionTable:
-    """Monotonically growing memo of p(0), p(1), ...
-
-    Single-writer: extending must be serialized externally, while any frozen
-    prefix can be read concurrently.
-    """
+    """Monotonically growing memo of p(0), p(1), ..."""
 
     def __init__(self) -> None:
         self._values: list[int] = [1]
@@ -44,17 +41,12 @@ class PartitionTable:
         vals = self._values
         if len(vals) > n:
             return
-        # Offsets gpent(k) <= n split by the sign (-1)^(k+1) of their term,
-        # each list ascending because gpent(k) < gpent(-k) < gpent(k+1).
+        # Offsets <= n split by the recurrence sign (-1)^(k+1), which is
+        # minus the series sign; each list stays ascending like its input.
         plus: list[int] = []
         minus: list[int] = []
-        k = 1
-        while (g := gpent(k)) <= n:
-            side = plus if k % 2 else minus
-            side.append(g)
-            if (g := gpent(-k)) <= n:
-                side.append(g)
-            k += 1
+        for t in pent_terms_upto(n):
+            (plus if t.sign < 0 else minus).append(t.exponent)
         # ip / im count the offsets <= m, i.e. the terms entry m uses.
         ip = im = 0
         for m in range(len(vals), n + 1):
@@ -73,20 +65,16 @@ class PartitionTable:
         return self._values[n]
 
 
-_shared_table = PartitionTable()
+def partition_count(n: int) -> int:
+    """p(n) by the sign-series recurrence, in a fresh table."""
+    return PartitionTable().count(n)
 
 
-def partition_count(n: int, table: PartitionTable | None = None) -> int:
-    """p(n) by the sign-series recurrence, memoized in `table` (a shared
-    process-wide table when none is given)."""
-    return (_shared_table if table is None else table).count(n)
-
-
-def partition_values(n: int, table: PartitionTable | None = None) -> tuple[int, ...]:
+def partition_values(n: int) -> tuple[int, ...]:
     """p(0)..p(n) as a tuple."""
-    t = _shared_table if table is None else table
-    t.count(n)
-    return t.values[: n + 1]
+    table = PartitionTable()
+    table.count(n)
+    return table.values
 
 
 def partition_bruteforce(n: int) -> int:

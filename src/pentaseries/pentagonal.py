@@ -12,26 +12,16 @@ from typing import NamedTuple
 
 from .series import TruncatedSeries
 
-# Exponents are kept within signed 64-bit range; anything larger is treated
-# as overflow rather than silently widening, per the storage contract.
-_EXPONENT_LIMIT = 2**63 - 1
-
 
 class PentTerm(NamedTuple):
     k: int
     exponent: int
     sign: int
 
-    def render(self) -> str:
-        return f"k={self.k} exp={self.exponent} sign={'+' if self.sign > 0 else '-'}"
-
 
 def gpent(k: int) -> int:
     """k(3k-1)/2 for any integer k (0 allowed, giving 0)."""
-    e = k * (3 * k - 1) // 2
-    if e > _EXPONENT_LIMIT:
-        raise OverflowError("exponent overflow")
-    return e
+    return k * (3 * k - 1) // 2
 
 
 def pent_sign(k: int) -> int:

@@ -62,11 +62,6 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}, ...], order={self.order})"
 
 
-def series_from_coeffs(coeffs: Iterable[int]) -> TruncatedSeries:
-    """Build a series from coefficients c0..cN; the order is len-1."""
-    return TruncatedSeries(coeffs)
-
-
 def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
 
@@ -164,13 +159,6 @@ def partial_product(factors: int, order: int) -> TruncatedSeries:
     for k in range(1, factors + 1):
         _mul_binomial_inplace(c, k)
     return TruncatedSeries(c)
-
-
-def agrees_upto(a: TruncatedSeries, b: TruncatedSeries, upto: int) -> bool:
-    """True when a and b share coefficients 0..upto inclusive."""
-    if upto > a.order or upto > b.order:
-        raise ValueError("order below comparison bound")
-    return a.coeffs[: upto + 1] == b.coeffs[: upto + 1]
 
 
 def series_to_json(s: TruncatedSeries) -> dict:

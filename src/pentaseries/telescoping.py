@@ -29,11 +29,12 @@ Streams carry nothing but (sign, exponent) pairs.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _mul_binomial_inplace
 
 _METHODS = ("method1", "method2")
 
@@ -54,41 +55,49 @@ def _check_method(method: str) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _stages1() -> Iterator[tuple[int, int, int]]:
-    """Yield (m, e1, e2) forever: e1 starts at 2, e2 = e1 + (2m+1),
-    and the next e1 is e2 + (m+1)."""
-    e1, m = 2, 1
+def _stages(method: str) -> Iterator[tuple[int, int, int, int]]:
+    """Yield (m, low, high, head) for m = 1, 2, ... forever.
+
+    method 1: head = low starts at 2, high = low + (2m+1), and the next low
+    is high + (m+1).
+    method 2: head is the anchor t, which starts at 3 and grows by 3(m+1);
+    the emitted pair is (t - 2m, t - m).
+    """
+    m = 1
+    if method == "method1":
+        low = 2
+        while True:
+            high = low + (2 * m + 1)
+            yield m, low, high, low
+            low = high + (m + 1)
+            m += 1
+    t = 3
     while True:
-        e2 = e1 + (2 * m + 1)
-        yield m, e1, e2
-        e1 = e2 + (m + 1)
+        yield m, t - 2 * m, t - m, t
+        t += 3 * (m + 1)
         m += 1
 
 
-def _stages2() -> Iterator[tuple[int, int, int, int]]:
-    """Yield (n, low, high, anchor) forever: anchor t starts at 3 and grows
-    by 3(n+1); the emitted pair is (t - 2n, t - n)."""
-    t, n = 3, 1
-    while True:
-        yield n, t - 2 * n, t - n, t
-        t += 3 * (n + 1)
-        n += 1
+def _stage(method: str, m: int) -> tuple[int, int, int]:
+    """(low, high, head) of stage m, read off the recurrence."""
+    _check_method(method)
+    if m < 1:
+        raise ValueError("stage index below 1")
+    return next(islice(_stages(method), m - 1, None))[1:]
 
 
 def _terms(method: str) -> Iterator[Term]:
+    # method 1 opens with -x and flips the sign inside each pair; method 2
+    # emits equal-signed pairs.
+    yield Term(1, 0)
+    flip = 1
     if method == "method1":
-        yield Term(1, 0)
         yield Term(-1, 1)
-        for m, e1, e2 in _stages1():
-            s = -1 if m % 2 else 1
-            yield Term(s, e1)
-            yield Term(-s, e2)
-    else:
-        yield Term(1, 0)
-        for n, low, high, _ in _stages2():
-            s = -1 if n % 2 else 1
-            yield Term(s, low)
-            yield Term(s, high)
+        flip = -1
+    for m, low, high, _ in _stages(method):
+        s = -1 if m % 2 else 1
+        yield Term(s, low)
+        yield Term(flip * s, high)
 
 
 def method1_stream(count: int) -> list[Term]:
@@ -107,29 +116,12 @@ def stage_states(method: str, count: int) -> list[StageState]:
     """The first `count` stage records; head is e1 for method 1 and the
     triangular anchor for method 2."""
     _check_method(method)
-    out = []
-    if method == "method1":
-        for m, e1, _ in islice(_stages1(), count):
-            out.append(StageState(method, m, e1))
-    else:
-        for n, _, _, anchor in islice(_stages2(), count):
-            out.append(StageState(method, n, anchor))
-    return out
+    return [StageState(method, m, head) for m, _, _, head in islice(_stages(method), count)]
 
 
 def stage_emissions(method: str, m: int) -> tuple[int, int]:
     """The exponent pair stage m emits, ascending."""
-    _check_method(method)
-    if m < 1:
-        raise ValueError("stage index below 1")
-    if method == "method1":
-        for mm, e1, e2 in _stages1():
-            if mm == m:
-                return e1, e2
-    for nn, low, high, _ in _stages2():
-        if nn == m:
-            return low, high
-    raise AssertionError("unreachable")
+    return _stage(method, m)[:2]
 
 
 def stream_series(method: str, order: int) -> TruncatedSeries:
@@ -163,45 +155,33 @@ def residual_series(method: str, m: int, order: int) -> TruncatedSeries:
     exponent of summand j grows without bound; summation stops at the first
     summand that lies entirely above the truncation.
     """
-    _check_method(method)
-    if m < 1:
-        raise ValueError("stage index below 1")
+    _, _, head = _stage(method, m)
     if order < 0:
         raise ValueError("negative order")
 
-    if method == "method1":
-        base0 = next(e1 for mm, e1, _ in _stages1() if mm == m)
-    else:
-        base0 = next(a for nn, _, _, a in _stages2() if nn == m)
-
     acc = [0] * (order + 1)
-    if base0 > order:
+    if head > order:
         return TruncatedSeries(acc)
 
-    if method == "method2":
-        acc[base0] = 1
+    # method 2 carries one more factor per summand and subtracts the sum
+    extra = method == "method2"
+    combine = operator.sub if extra else operator.add
+    if extra:
+        acc[head] = 1
 
     # prod holds the running factor product, truncated to the largest prefix
     # that can still contribute: summand j only touches acc[base..], so only
     # order - base + 1 of its coefficients matter.
-    prod = [0] * (order - base0 + 1)
+    prod = [0] * (order - head + 1)
     prod[0] = 1
-    if method == "method2" and m < len(prod):
-        prod[m:] = [hi - lo for hi, lo in zip(prod[m:], prod)]
+    if extra:
+        _mul_binomial_inplace(prod, m)
 
     j = 0
-    while True:
-        base = base0 + m * j
-        if base > order:
-            break
+    while (base := head + m * j) <= order:
         del prod[order - base + 1 :]
-        k = m + j if method == "method1" else m + j + 1
-        if k < len(prod):
-            prod[k:] = [hi - lo for hi, lo in zip(prod[k:], prod)]
-        if method == "method1":
-            acc[base:] = [s + p for s, p in zip(acc[base:], prod)]
-        else:
-            acc[base:] = [s - p for s, p in zip(acc[base:], prod)]
+        _mul_binomial_inplace(prod, m + j + extra)
+        acc[base:] = map(combine, acc[base:], prod)
         j += 1
     return TruncatedSeries(acc)
 
@@ -215,29 +195,16 @@ def verify_stage(method: str, m: int, order: int) -> bool:
     where (e1, e2) are stage m's emissions and (a, b) are stage (m+1)'s.
     Verified as exact coefficient equality at the given order.
     """
-    _check_method(method)
-    if m < 1:
-        raise ValueError("stage index below 1")
-    if method == "method1":
-        lo, hi = stage_emissions(method, m)
-        signs = (1, -1)
-    else:
-        lo, hi = stage_emissions(method, m + 1)
-        signs = (1, 1)
+    lo, hi, _ = _stage(method, m)
+    extra = method == "method2"
+    if extra:
+        lo, hi, _ = _stage(method, m + 1)
     if hi > order:
         raise ValueError("order below stage emissions")
 
     r = residual_series(method, m, order)
     r_next = residual_series(method, m + 1, order)
     expected = [0] * (order + 1)
-    expected[lo] = signs[0]
-    expected[hi] = signs[1]
+    expected[lo] = 1
+    expected[hi] = 1 if extra else -1
     return [a + b for a, b in zip(r.coeffs, r_next.coeffs)] == expected
-
-
-def term_text(term: Term) -> str:
-    return f"{'+' if term.sign > 0 else '-'} {term.exponent}"
-
-
-def terms_json_objs(terms: list[Term]) -> list[dict]:
-    return [{"sign": t.sign, "exp": t.exponent} for t in terms]

@@ -16,7 +16,7 @@ from pentaseries.partitions import (
     partition_values,
 )
 from pentaseries.pentagonal import closed_form_series, pent_terms_upto
-from pentaseries.series import partial_product, series_from_coeffs, series_mul
+from pentaseries.series import TruncatedSeries, partial_product, series_mul
 from pentaseries.telescoping import (
     method1_stream,
     method2_stream,
@@ -110,7 +110,7 @@ def test_criterion_5_partition_correctness():
     oracle_ok = all(partition_count(n) == partition_bruteforce(n) for n in range(61))
 
     n = 300
-    unit = series_from_coeffs([1] + [0] * n)
+    unit = TruncatedSeries([1] + [0] * n)
     identity_ok = series_mul(partition_series(n), closed_form_series(n)) == unit
 
     routes_ok = partition_series(500).coeffs == partition_values(500)

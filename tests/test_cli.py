@@ -9,7 +9,7 @@ import pytest
 from pentaseries import cli
 from pentaseries.cli import canonical_json, format_series, main
 from pentaseries.partitions import partition_series
-from pentaseries.series import series_from_coeffs
+from pentaseries.series import TruncatedSeries
 
 
 def run_cli(capsys, *argv):
@@ -19,11 +19,11 @@ def run_cli(capsys, *argv):
 
 
 def test_format_series_signs_and_powers():
-    s = series_from_coeffs([1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1])
+    s = TruncatedSeries([1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1])
     assert format_series(s) == "1 - x - x^2 + x^5 + x^7 - x^12"
-    assert format_series(series_from_coeffs([1])) == "1"
-    assert format_series(series_from_coeffs([0, 0])) == "0"
-    assert format_series(series_from_coeffs([-1, 2])) == "-1 + 2x"
+    assert format_series(TruncatedSeries([1])) == "1"
+    assert format_series(TruncatedSeries([0, 0])) == "0"
+    assert format_series(TruncatedSeries([-1, 2])) == "-1 + 2x"
     assert format_series(partition_series(4)) == "1 + x + 2x^2 + 3x^3 + 5x^4"
 
 

@@ -9,7 +9,7 @@ from pentaseries.partitions import (
     partition_values,
 )
 from pentaseries.pentagonal import closed_form_series, gpent
-from pentaseries.series import series_from_coeffs, series_mul
+from pentaseries.series import TruncatedSeries, series_mul
 
 
 def count_by_enumeration(n, largest=None, memo=None):
@@ -63,10 +63,10 @@ def test_bruteforce_guard():
 def test_table_growth_and_reuse():
     table = PartitionTable()
     assert table.computed_upto == 0
-    assert partition_count(30, table) == 5604
+    assert table.count(30) == 5604
     assert table.computed_upto == 30
     # asking for less must not shrink anything
-    assert partition_count(5, table) == 7
+    assert table.count(5) == 7
     assert table.computed_upto == 30
     assert table.values[:6] == (1, 1, 2, 3, 5, 7)
 
@@ -92,7 +92,7 @@ def test_series_route_equals_recurrence_route():
 def test_defining_identity():
     n = 120
     prod = series_mul(partition_series(n), closed_form_series(n))
-    assert prod == series_from_coeffs([1] + [0] * n)
+    assert prod == TruncatedSeries([1] + [0] * n)
 
 
 def per_term_recurrence(n):

@@ -1,7 +1,9 @@
+import sys
+
 import pytest
 
 from pentaseries.pentagonal import closed_form_series, pent_terms_upto
-from pentaseries.series import partial_product, series_add, series_from_coeffs
+from pentaseries.series import TruncatedSeries, partial_product, series_add
 from pentaseries.telescoping import (
     Term,
     method1_stream,
@@ -10,8 +12,6 @@ from pentaseries.telescoping import (
     stage_emissions,
     stage_states,
     stream_series,
-    term_text,
-    terms_json_objs,
     verify_stage,
 )
 
@@ -19,7 +19,7 @@ from pentaseries.telescoping import (
 def monomial(order, exponent, sign):
     c = [0] * (order + 1)
     c[exponent] = sign
-    return series_from_coeffs(c)
+    return TruncatedSeries(c)
 
 
 def residual_oracle(method, m, order):
@@ -119,6 +119,29 @@ def test_stream_series_matches_other_routes():
         assert s1 == partial_product(n, n)
 
 
+def test_routes_never_consult_the_closed_form(monkeypatch):
+    """Product and both streams give the series with every pentagonal helper
+    and the closed form made to raise: agreement is evidence, not circularity."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closed form consulted")
+
+    names = ("gpent", "pent_sign", "pent_terms_upto", "closed_form_series")
+    for modname, module in list(sys.modules.items()):
+        if modname == "pentaseries" or modname.startswith("pentaseries."):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+    residual_series.cache_clear()
+
+    s1 = stream_series("method1", 600)
+    assert s1 == stream_series("method2", 600) == partial_product(600, 600)
+    golden = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1, 22: 1, 26: 1, 35: -1, 40: -1, 51: 1}
+    assert s1.coeffs[:52] == tuple(golden.get(e, 0) for e in range(52))
+    for method in ("method1", "method2"):
+        for m in range(1, 6):
+            assert verify_stage(method, m, 200)
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown method"):
         stream_series("method3", 10)
@@ -180,10 +203,3 @@ def test_stage_identity_by_hand():
     lhs = series_add(r1, r2)
     rhs = series_add(monomial(order, 2, 1), monomial(order, 5, -1))
     assert lhs == rhs
-
-
-def test_term_rendering():
-    assert term_text(Term(1, 0)) == "+ 0"
-    assert term_text(Term(-1, 12)) == "- 12"
-    objs = terms_json_objs(method1_stream(3))
-    assert objs == [{"sign": 1, "exp": 0}, {"sign": -1, "exp": 1}, {"sign": -1, "exp": 2}]
