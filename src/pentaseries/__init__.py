@@ -28,7 +28,7 @@ from .roots import (
     cyclotomic,
     poly_divrem,
     poly_mul,
-    root_multiplicity,
+    root_multiplicities,
     totient,
 )
 from .series import (
@@ -46,6 +46,7 @@ from .series import (
 from .telescoping import (
     StageState,
     Term,
+    identity_exponents,
     method1_stream,
     method2_stream,
     residual_series,
@@ -70,6 +71,7 @@ __all__ = [
     "div_binomial",
     "fitted_exponent",
     "gpent",
+    "identity_exponents",
     "iterated_division_check",
     "method1_stream",
     "method2_stream",
@@ -86,7 +88,7 @@ __all__ = [
     "records_to_csv",
     "records_to_json_objs",
     "residual_series",
-    "root_multiplicity",
+    "root_multiplicities",
     "run_bench",
     "series_add",
     "series_from_json",

@@ -42,7 +42,7 @@ def _peak_bits(coeffs) -> int:
     return max(abs(c).bit_length() for c in coeffs)
 
 
-def run_bench(sizes: list[int], repetitions: int = REPETITIONS) -> list[BenchRecord]:
+def run_bench(sizes: list[int]) -> list[BenchRecord]:
     """One BenchRecord per (size, task), sizes outermost."""
     import statistics  # deferred: the other CLI commands never need it
 
@@ -52,7 +52,7 @@ def run_bench(sizes: list[int], repetitions: int = REPETITIONS) -> list[BenchRec
             fn(n)  # warm-up, discarded
             times = []
             result = None
-            for _ in range(repetitions):
+            for _ in range(REPETITIONS):
                 start = time.perf_counter_ns()
                 result = fn(n)
                 times.append(time.perf_counter_ns() - start)

@@ -20,9 +20,9 @@ import sys
 from .bench import records_to_csv, records_to_json_objs, run_bench
 from .partitions import iterated_division_check, partition_count, partition_values
 from .pentagonal import closed_form_series
-from .roots import root_multiplicity
+from .roots import root_multiplicities
 from .series import TruncatedSeries, partial_product, series_to_json
-from .telescoping import stage_emissions, stream_series, verify_stage
+from .telescoping import identity_exponents, stream_series, verify_stage
 
 _EXPAND_ORDER = ("product", "method1", "method2", "closed")
 
@@ -103,10 +103,7 @@ def cmd_partition(n: int | None, upto: int | None, fmt: str) -> int:
 
 def cmd_verify(depth: int, order: int, roots: int) -> int:
     for method in ("method1", "method2"):
-        # mirror verify_stage's requirement: method 2's identity for stage m
-        # involves the emissions of stage m+1
-        identity_stage = depth if method == "method1" else depth + 1
-        needed = stage_emissions(method, identity_stage)[1]
+        needed = identity_exponents(method, depth)[1]
         if order < needed:
             print(
                 f"order below stage emissions: stage {depth} ({method}) "
@@ -124,9 +121,8 @@ def cmd_verify(depth: int, order: int, roots: int) -> int:
     ok = iterated_division_check(depth, order)
     failures += not ok
     print(f"division depth={depth}: {'pass' if ok else 'FAIL'}")
-    for d in range(1, roots + 1):
+    for d, measured in enumerate(root_multiplicities(roots), 1):
         expected = roots // d
-        measured = root_multiplicity(roots, d)
         ok = measured == expected
         failures += not ok
         print(f"root d={d} expected={expected} measured={measured} {'match' if ok else 'MISMATCH'}")

@@ -3,9 +3,10 @@
 Every root of (1-x)(1-x^2)...(1-x^M) is a root of unity: the factor 1 - x^k
 vanishes exactly at the k-th roots.  A primitive d-th root appears in factor
 k precisely when d divides k, so its multiplicity in the partial product is
-floor(M/d).  The check here is exact: divide repeatedly by the cyclotomic
-polynomial of order d and count the divisions with zero remainder.  No
-complex arithmetic, no numerical root-finding.
+floor(M/d).  The check here is exact: build the product once, divide
+repeatedly by the cyclotomic polynomial of each order d and count the
+divisions with zero remainder.  No complex arithmetic, no numerical
+root-finding.
 
 Only partial products are examined.  The truncated sparse series itself has
 its own unrelated roots, and nothing is claimed about where those lie.
@@ -56,11 +57,6 @@ class IntPolynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return poly_mul(self, other)
-
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
 
@@ -107,21 +103,30 @@ def cyclotomic(d: int) -> IntPolynomial:
     return quot
 
 
-def root_multiplicity(factors: int, d: int) -> int:
-    """Multiplicity of the primitive d-th roots of unity in
-    (1-x)(1-x^2)...(1-x^factors), by repeated exact division."""
+def root_multiplicities(factors: int) -> tuple[int, ...]:
+    """Multiplicities of the primitive d-th roots of unity in
+    (1-x)(1-x^2)...(1-x^factors); entry d-1 is the count for d = 1..factors.
+
+    The full product (degree factors(factors+1)/2, so nothing is truncated)
+    is built once.  Phi_factors, ..., Phi_1 are then divided out of the
+    running quotient, each until a nonzero remainder appears.  Distinct
+    cyclotomic polynomials are coprime, so each count equals the one a
+    division of the full product by Phi_d alone would give.  Largest d goes
+    first because that keeps the quotient's coefficients small.
+    """
     if factors < 0:
         raise ValueError("negative factor count")
-    phi = cyclotomic(d)
-    # degree factors(factors+1)/2 is the full product, so nothing is truncated
     p = IntPolynomial(partial_product(factors, factors * (factors + 1) // 2).coeffs)
-    count = 0
-    while True:
-        quot, rem = poly_divrem(p, phi)
-        if not rem.is_zero:
-            return count
-        p = quot
-        count += 1
+    counts = [0] * factors
+    for d in range(factors, 0, -1):
+        phi = cyclotomic(d)
+        while True:
+            quot, rem = poly_divrem(p, phi)
+            if not rem.is_zero:
+                break
+            p = quot
+            counts[d - 1] += 1
+    return tuple(counts)
 
 
 def totient(n: int) -> int:

@@ -45,16 +45,6 @@ class TruncatedSeries:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return series_add(self, other)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return series_mul(self, other)
-
     def __repr__(self) -> str:
         if self.order <= 11:
             return f"TruncatedSeries({list(self.coeffs)})"

@@ -124,6 +124,13 @@ def stage_emissions(method: str, m: int) -> tuple[int, int]:
     return _stage(method, m)[:2]
 
 
+def identity_exponents(method: str, m: int) -> tuple[int, int]:
+    """The exponent pair on the explicit side of stage m's identity (see
+    verify_stage): stage m's emissions for method 1, stage m+1's for method 2."""
+    emissions = stage_emissions(method, m)
+    return stage_emissions(method, m + 1) if method == "method2" else emissions
+
+
 def stream_series(method: str, order: int) -> TruncatedSeries:
     """Assemble the stream into a dense series truncated at `order`."""
     _check_method(method)
@@ -195,10 +202,7 @@ def verify_stage(method: str, m: int, order: int) -> bool:
     where (e1, e2) are stage m's emissions and (a, b) are stage (m+1)'s.
     Verified as exact coefficient equality at the given order.
     """
-    lo, hi, _ = _stage(method, m)
-    extra = method == "method2"
-    if extra:
-        lo, hi, _ = _stage(method, m + 1)
+    lo, hi = identity_exponents(method, m)
     if hi > order:
         raise ValueError("order below stage emissions")
 
@@ -206,5 +210,5 @@ def verify_stage(method: str, m: int, order: int) -> bool:
     r_next = residual_series(method, m + 1, order)
     expected = [0] * (order + 1)
     expected[lo] = 1
-    expected[hi] = 1 if extra else -1
+    expected[hi] = 1 if method == "method2" else -1
     return [a + b for a, b in zip(r.coeffs, r_next.coeffs)] == expected

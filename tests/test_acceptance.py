@@ -23,7 +23,7 @@ from pentaseries.telescoping import (
     stage_states,
     verify_stage,
 )
-from pentaseries.roots import root_multiplicity, totient
+from pentaseries.roots import root_multiplicities, totient
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -131,14 +131,13 @@ def test_criterion_6_iterated_division():
 
 
 def test_criterion_7_root_multiplicities():
+    multiplicities = {m: root_multiplicities(m) for m in range(1, 31)}
     floor_ok = all(
-        root_multiplicity(m, d) == m // d
-        for m in range(1, 31)
-        for d in range(1, m + 1)
+        mults == tuple(m // d for d in range(1, m + 1)) for m, mults in multiplicities.items()
     )
     degrees_ok = all(
-        sum(totient(d) * root_multiplicity(m, d) for d in range(1, m + 1)) == m * (m + 1) // 2
-        for m in range(1, 31)
+        sum(totient(d) * mult for d, mult in enumerate(mults, 1)) == m * (m + 1) // 2
+        for m, mults in multiplicities.items()
     )
     ok = floor_ok and degrees_ok
     report("criterion 7: root multiplicities floor(M/d) and degree bookkeeping", ok)

@@ -10,6 +10,7 @@ from pentaseries import cli
 from pentaseries.cli import canonical_json, format_series, main
 from pentaseries.partitions import partition_series
 from pentaseries.series import TruncatedSeries
+from pentaseries.telescoping import stage_emissions, verify_stage
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +148,23 @@ def test_verify_order_too_small(capsys):
     assert code == 2
     assert "order below stage emissions" in err
     assert "5" in err
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_stage_order_boundary_agrees_with_verify_stage(capsys, depth):
+    # method 2's stage-m identity carries stage m+1's emissions
+    needs = {
+        "method1": stage_emissions("method1", depth)[1],
+        "method2": stage_emissions("method2", depth + 1)[1],
+    }
+    for method, need in needs.items():
+        with pytest.raises(ValueError, match="order below stage emissions"):
+            verify_stage(method, depth, need - 1)
+        verify_stage(method, depth, need)
+    max_need = max(needs.values())
+    argv = ["verify", "--depth", str(depth), "--roots", "1", "--order"]
+    assert run_cli(capsys, *argv, str(max_need - 1))[0] == 2
+    assert run_cli(capsys, *argv, str(max_need))[0] == 0
 
 
 def test_bench_csv_shape(capsys):

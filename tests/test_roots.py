@@ -6,9 +6,10 @@ from pentaseries.roots import (
     cyclotomic,
     poly_divrem,
     poly_mul,
-    root_multiplicity,
+    root_multiplicities,
     totient,
 )
+from pentaseries.series import partial_product
 
 CYCLOTOMIC_SMALL = {
     1: (-1, 1),
@@ -128,17 +129,20 @@ def test_cyclotomic_bounds():
 
 
 def test_multiplicity_examples():
-    assert root_multiplicity(6, 1) == 6
-    assert root_multiplicity(6, 2) == 3
-    assert root_multiplicity(3, 5) == 0
-    assert root_multiplicity(4, 2) == 2
-    assert root_multiplicity(0, 3) == 0
+    assert root_multiplicities(6) == (6, 3, 2, 1, 1, 1)
+    assert root_multiplicities(4)[1] == 2
+    assert root_multiplicities(1) == (1,)
+    assert root_multiplicities(0) == ()
 
 
 def test_multiplicity_floor_rule():
     for m in range(13):
-        for d in range(1, 13):
-            assert root_multiplicity(m, d) == m // d
+        assert root_multiplicities(m) == tuple(m // d for d in range(1, m + 1))
+
+
+def test_multiplicities_reject_negative_factor_count():
+    with pytest.raises(ValueError, match="negative factor count"):
+        root_multiplicities(-1)
 
 
 def dense_binomial_product(m):
@@ -149,7 +153,38 @@ def dense_binomial_product(m):
     return p
 
 
-@pytest.mark.parametrize("m", [0, 1, 5, 30])
+def per_d_multiplicity(m, d):
+    """Divide the full product by Phi_d alone until a remainder appears;
+    the one-d-at-a-time algorithm, kept as the oracle."""
+    p = dense_binomial_product(m)
+    count = 0
+    while True:
+        quot, rem = poly_divrem(p, cyclotomic(d))
+        if not rem.is_zero:
+            return count
+        p = quot
+        count += 1
+
+
+def test_multiplicities_match_per_d_oracle():
+    for m in range(25):
+        expected = tuple(per_d_multiplicity(m, d) for d in range(1, m + 1))
+        assert root_multiplicities(m) == expected
+
+
+def test_multiplicities_build_the_product_once(monkeypatch):
+    calls = []
+
+    def counting_partial_product(factors, order):
+        calls.append((factors, order))
+        return partial_product(factors, order)
+
+    monkeypatch.setattr(roots, "partial_product", counting_partial_product)
+    assert root_multiplicities(20) == tuple(20 // d for d in range(1, 21))
+    assert calls == [(20, 210)]
+
+
+@pytest.mark.parametrize("m", [1, 5, 30])
 def test_multiplicity_divides_the_full_product(monkeypatch, m):
     dividends = []
 
@@ -158,14 +193,14 @@ def test_multiplicity_divides_the_full_product(monkeypatch, m):
         return poly_divrem(a, b)
 
     monkeypatch.setattr(roots, "poly_divrem", recording_divrem)
-    assert root_multiplicity(m, 1) == m
+    assert root_multiplicities(m)[0] == m
     assert dividends[0] == dense_binomial_product(m)
     assert dividends[0].degree == m * (m + 1) // 2
 
 
 def test_degree_bookkeeping():
     m = 12
-    total = sum(totient(d) * root_multiplicity(m, d) for d in range(1, m + 1))
+    total = sum(totient(d) * mult for d, mult in enumerate(root_multiplicities(m), 1))
     assert total == m * (m + 1) // 2
 
 
