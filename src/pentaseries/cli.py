@@ -6,7 +6,9 @@
     pentaseries bench     --sizes 2000,4000,8000 [--format csv|json]
 
 Exit codes: 0 success (all checks pass), 1 mathematical mismatch, 2 usage or
-precondition error, including an input too large for memory.  JSON is emitted
+precondition error, including an input too large for memory or for the
+platform's index range.  On a mismatch, `expand --method all` names the first
+differing exponent of each disagreeing method on stderr.  JSON is emitted
 canonically (fixed key order, no spaces, coefficients as decimal strings), so
 re-serializing a parsed payload gives back the same bytes.
 """
@@ -72,6 +74,14 @@ def cmd_expand(method: str, order: int, fmt: str) -> int:
     reference = results["product"]
     verdicts = {name: results[name] == reference for name in _EXPAND_ORDER[1:]}
     all_agree = all(verdicts.values())
+    for name, ok in verdicts.items():
+        if not ok:
+            # every route returns order + 1 coefficients, so a mismatch
+            # always has a first differing exponent
+            e, want, got = next(
+                (e, x, y) for e, (x, y) in enumerate(zip(reference.coeffs, results[name].coeffs)) if x != y
+            )
+            print(f"{name}: first difference at x^{e}: product {want}, {name} {got}", file=sys.stderr)
     if fmt == "json":
         payload = series_to_json(reference)
         payload["agree"] = verdicts
@@ -217,6 +227,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         # a resource failure is a precondition error, never a mismatch (1)
         print(f"out of memory: {ns.command} input too large", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # a size past the platform's index range fails before any allocation
+        print(f"input too large: {ns.command} size exceeds the index range", file=sys.stderr)
         return 2
 
 

@@ -39,24 +39,31 @@ class PartitionTable:
 
     def extend_to(self, n: int) -> None:
         vals = self._values
-        if len(vals) > n:
+        start = len(vals)
+        if start > n:
             return
-        # Offsets <= n split by the recurrence sign (-1)^(k+1), which is
-        # minus the series sign; each list stays ascending like its input.
-        plus: list[int] = []
-        minus: list[int] = []
-        for t in pent_terms_upto(n):
-            (plus if t.sign < 0 else minus).append(t.exponent)
-        # ip / im count the offsets <= m, i.e. the terms entry m uses.
-        ip = im = 0
-        for m in range(len(vals), n + 1):
-            while ip < len(plus) and plus[ip] <= m:
-                ip += 1
-            while im < len(minus) and minus[im] <= m:
-                im += 1
-            vals.append(
-                sum([vals[m - g] for g in plus[:ip]]) - sum([vals[m - g] for g in minus[:im]])
-            )
+        # Reserve the new entries first, so an n too large for memory fails
+        # here at once rather than after building ~sqrt(n) offsets.
+        vals += [0] * (n + 1 - start)
+        try:
+            # Offsets <= n split by the recurrence sign (-1)^(k+1), which is
+            # minus the series sign; each list stays ascending like its input.
+            plus: list[int] = []
+            minus: list[int] = []
+            for t in pent_terms_upto(n):
+                (plus if t.sign < 0 else minus).append(t.exponent)
+            # ip / im count the offsets <= m, i.e. the terms entry m uses.
+            ip = im = 0
+            for m in range(start, n + 1):
+                while ip < len(plus) and plus[ip] <= m:
+                    ip += 1
+                while im < len(minus) and minus[im] <= m:
+                    im += 1
+                vals[m] = sum([vals[m - g] for g in plus[:ip]]) - sum([vals[m - g] for g in minus[:im]])
+        except BaseException:
+            # never leave reserved zeros behind as if they were values
+            del vals[start:]
+            raise
 
     def count(self, n: int) -> int:
         if n < 0:

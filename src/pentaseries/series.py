@@ -86,11 +86,16 @@ def _check_factor_exponent(k: int) -> None:
         raise ValueError("negative factor exponent")
 
 
-def _mul_binomial_inplace(c: list[int], k: int) -> None:
-    # c[i] -= c[i-k] for i >= k.  The comprehension materialises before the
-    # slice assignment lands, so every read sees the pre-update values.
-    if k < len(c):
-        c[k:] = [hi - lo for hi, lo in zip(c[k:], c)]
+def _mul_binomial_inplace(c: list[int], k: int, zeros: int = 0) -> None:
+    # c[i] -= c[i-k] for i >= k, given the precondition c[1..zeros] == 0.
+    # Those zeros leave c[k+1..k+zeros] as they are, so the pass is the
+    # scalar update of c[k] plus the dense tail from k + zeros + 1.  The slice
+    # assignment reads its whole map before it lands, and the tail runs first
+    # because with zeros < k it reads the old c[k].
+    n = len(c)
+    if k < n:
+        c[k + zeros + 1 :] = map(operator.sub, c[k + zeros + 1 :], c[zeros + 1 : n - k])
+        c[k] -= c[0]
 
 
 def mul_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -137,8 +142,13 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
 def partial_product(factors: int, order: int) -> TruncatedSeries:
     """Expand (1-x)(1-x^2)...(1-x^factors) modulo x^(order+1).
 
-    Each factor is a single linear pass, so the whole product costs
-    O(factors * order).  factors = 0 yields the constant series 1.
+    Factors above the order leave the truncated product unchanged, so the
+    passes run from k = min(factors, order) down to 1, largest first.  Before
+    factor k only factors above k have been applied, and (1 - x^j) never
+    touches an exponent below j, so c[1..k] are still zero: pass k is the
+    scalar update of c[k] plus a dense tail from exponent 2k + 1, empty once
+    2k >= order.  With factors = order that is about order^2/4 element
+    updates instead of order^2/2.  factors = 0 yields the constant series 1.
     """
     if factors < 0:
         raise ValueError("negative factor count")
@@ -146,8 +156,8 @@ def partial_product(factors: int, order: int) -> TruncatedSeries:
         raise ValueError("negative order")
     c = [0] * (order + 1)
     c[0] = 1
-    for k in range(1, factors + 1):
-        _mul_binomial_inplace(c, k)
+    for k in range(min(factors, order), 0, -1):
+        _mul_binomial_inplace(c, k, zeros=k)
     return TruncatedSeries(c)
 
 

@@ -220,6 +220,67 @@ def test_memory_error_exits_2_not_mismatch(capsys, monkeypatch):
     assert "out of memory" in err
 
 
+INDEX_OVERFLOW = str(2**63)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "--method", "product", "--order", INDEX_OVERFLOW),
+        ("expand", "--method", "closed", "--order", INDEX_OVERFLOW),
+        ("verify", "--depth", "1", "--order", INDEX_OVERFLOW, "--roots", "1"),
+    ],
+    ids=["expand-product", "expand-closed", "verify"],
+)
+def test_index_sized_order_exits_2_not_mismatch(capsys, argv):
+    # [0] * (2**63 + 1) raises OverflowError before anything is allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "input too large" in err
+
+
+def test_partition_huge_n_fails_fast():
+    # the table is reserved before the ~2.5e9 pentagonal offsets are built;
+    # the timeout turns a regression into a failure instead of a hang
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pentaseries.cli", "partition", "--n", INDEX_OVERFLOW],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert "input too large" in proc.stderr
+
+
+def test_expand_all_mismatch_names_first_difference(capsys, monkeypatch):
+    order = 30
+    _, expected_out, _ = run_cli(capsys, "expand", "--method", "all", "--order", str(order))
+    stream_series = cli.stream_series
+
+    def flipped(method, n):
+        c = list(stream_series(method, n).coeffs)
+        c[17] += 3
+        return TruncatedSeries(c)
+
+    monkeypatch.setattr(cli, "stream_series", flipped)
+    code, out, err = run_cli(capsys, "expand", "--method", "all", "--order", str(order))
+    assert code == 1
+    expected = expected_out.splitlines()
+    expected[-4:] = ["method1: MISMATCH", "method2: MISMATCH", "closed: agree", "methods disagree"]
+    assert out.splitlines() == expected
+    assert err.splitlines() == [
+        "method1: first difference at x^17: product 0, method1 3",
+        "method2: first difference at x^17: product 0, method2 3",
+    ]
+
+
 def test_cli_import_skips_unused_stdlib_modules():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -2,6 +2,7 @@ import pytest
 
 from pentaseries.series import (
     TruncatedSeries,
+    _mul_binomial_inplace,
     div_binomial,
     mul_binomial,
     partial_product,
@@ -183,6 +184,55 @@ def test_partial_product_matches_repeated_mul(rng):
     for k in range(1, 7):
         expected = mul_binomial(expected, k)
     assert partial_product(6, n) == expected
+
+
+def ascending_product_oracle(factors, order):
+    """The ascending one-comprehension-per-factor loop, kept as the oracle
+    for partial_product's largest-first passes; it shares no kernel."""
+    c = [0] * (order + 1)
+    c[0] = 1
+    for k in range(1, factors + 1):
+        if k < len(c):
+            c[k:] = [hi - lo for hi, lo in zip(c[k:], c)]
+    return tuple(c)
+
+
+def test_partial_product_matches_ascending_oracle_grid():
+    # includes order 0 and factors above the order
+    for factors in range(41):
+        for order in range(61):
+            assert partial_product(factors, order).coeffs == ascending_product_oracle(factors, order)
+
+
+def test_partial_product_matches_ascending_oracle_square():
+    # odd and even n, so both parities of the empty-tail boundary 2k >= n
+    for n in [*range(41, 600, 13), 600]:
+        assert partial_product(n, n).coeffs == ascending_product_oracle(n, n)
+
+
+def test_partial_product_matches_ascending_oracle_roots_shapes():
+    # the (M, M(M+1)/2) products that root_multiplicities divides
+    for m in range(31):
+        order = m * (m + 1) // 2
+        assert partial_product(m, order).coeffs == ascending_product_oracle(m, order)
+
+
+def test_binomial_kernel_zero_prefix_matches_full_pass(rng):
+    for _ in range(400):
+        size = rng.randint(1, 40)
+        k = rng.randint(1, size + 2)
+        zeros = rng.randint(0, size + 2)
+        c = [rng.randint(-(10**40), 10**40) for _ in range(size)]
+        c[1 : zeros + 1] = [0] * len(c[1 : zeros + 1])
+        full = list(c)
+        _mul_binomial_inplace(full, k)
+        if k < size:
+            assert full[k:] == [hi - lo for hi, lo in zip(c[k:], c)]
+        else:
+            assert full == c
+        skipped = list(c)
+        _mul_binomial_inplace(skipped, k, zeros)
+        assert skipped == full
 
 
 def test_partial_product_coefficients_stay_small():
