@@ -23,24 +23,15 @@ from .partitions import (
     partition_values,
 )
 from .pentagonal import PentTerm, closed_form_series, gpent, pent_sign, pent_terms_upto
-from .roots import (
-    IntPolynomial,
-    cyclotomic,
-    poly_divrem,
-    poly_mul,
-    root_multiplicities,
-    totient,
-)
+from .roots import root_multiplicities, totient
 from .series import (
     TruncatedSeries,
-    convolve,
     div_binomial,
     mul_binomial,
     partial_product,
     series_add,
     series_from_json,
     series_inverse,
-    series_mul,
     series_to_json,
 )
 from .telescoping import (
@@ -59,15 +50,12 @@ from .telescoping import (
 __all__ = [
     "BenchRecord",
     "CSV_HEADER",
-    "IntPolynomial",
     "PartitionTable",
     "PentTerm",
     "StageState",
     "Term",
     "TruncatedSeries",
     "closed_form_series",
-    "convolve",
-    "cyclotomic",
     "div_binomial",
     "fitted_exponent",
     "gpent",
@@ -83,8 +71,6 @@ __all__ = [
     "partition_values",
     "pent_sign",
     "pent_terms_upto",
-    "poly_divrem",
-    "poly_mul",
     "records_to_csv",
     "records_to_json_objs",
     "residual_series",
@@ -93,7 +79,6 @@ __all__ = [
     "series_add",
     "series_from_json",
     "series_inverse",
-    "series_mul",
     "series_to_json",
     "stage_emissions",
     "stage_states",

@@ -2,7 +2,7 @@
 
     pentaseries expand    --method {product|method1|method2|closed|all} --order N [--format text|json]
     pentaseries partition --upto N | --n N [--format text|json]
-    pentaseries verify    --depth D --order N [--roots M]
+    pentaseries verify    --depth D --order N [--roots M]   (M <= 10000)
     pentaseries bench     --sizes 2000,4000,8000 [--format csv|json]
 
 Exit codes: 0 success (all checks pass), 1 mathematical mismatch, 2 usage or
@@ -27,6 +27,7 @@ from .series import TruncatedSeries, partial_product, series_to_json
 from .telescoping import identity_exponents, stream_series, verify_stage
 
 _EXPAND_ORDER = ("product", "method1", "method2", "closed")
+_ROOTS_LIMIT = 10000
 
 
 def canonical_json(obj) -> str:
@@ -112,6 +113,15 @@ def cmd_partition(n: int | None, upto: int | None, fmt: str) -> int:
 
 
 def cmd_verify(depth: int, order: int, roots: int) -> int:
+    # every identity exponent of stage `depth` exceeds `depth`, so this
+    # fails before identity_exponents walks the stages
+    if depth >= order:
+        print(
+            f"order below stage emissions: stage {depth} needs an exponent "
+            f"above {depth}, got order {order}",
+            file=sys.stderr,
+        )
+        return 2
     for method in ("method1", "method2"):
         needed = identity_exponents(method, depth)[1]
         if order < needed:
@@ -166,6 +176,15 @@ def _positive(text: str) -> int:
     return value
 
 
+def _roots_count(text: str) -> int:
+    # root_multiplicities builds a degree M(M+1)/2 product in about M^3/2
+    # element updates
+    value = _positive(text)
+    if value > _ROOTS_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be <= {_ROOTS_LIMIT}")
+    return value
+
+
 def _size_list(text: str) -> tuple[int, ...]:
     try:
         sizes = tuple(int(p) for p in text.split(","))
@@ -200,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="stage identities, iterated division, root multiplicities")
     p_verify.add_argument("--depth", required=True, type=_positive)
     p_verify.add_argument("--order", required=True, type=_nonneg)
-    p_verify.add_argument("--roots", default=10, type=_positive)
+    p_verify.add_argument("--roots", default=10, type=_roots_count)
 
     p_bench = sub.add_parser("bench", help="time the product and partition routes")
     p_bench.add_argument("--sizes", required=True, type=_size_list)

@@ -8,99 +8,61 @@ repeatedly by the cyclotomic polynomial of each order d and count the
 divisions with zero remainder.  No complex arithmetic, no numerical
 root-finding.
 
+Phi_d is never expanded.  Moebius inversion of x^d - 1 = prod_{e|d} Phi_e
+gives it in factored form,
+
+    Phi_d = +-prod_{e|d} (1 - x^e)^mu(d/e),
+
+so dividing by Phi_d is multiplying by each (1 - x^e) with mu(d/e) = -1 and
+then dividing exactly by each (1 - x^e) with mu(d/e) = +1.  Both are the
+linear binomial passes of the series module; a division that leaves
+anything in the top e entries means Phi_d does not divide.
+
 Only partial products are examined.  The truncated sparse series itself has
 its own unrelated roots, and nothing is claimed about where those lie.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable
-
-from .series import convolve, partial_product
-
-_CYCLOTOMIC_LIMIT = 10000
+from .series import _div_binomial_inplace, _mul_binomial_inplace, partial_product
 
 
-class IntPolynomial:
-    """Exact integer polynomial, dense coefficients by ascending exponent.
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes of n >= 1, ascending, by trial division."""
+    primes = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
-    Trailing zeros are stripped on construction; the zero polynomial is the
-    empty tuple and reports degree 0.
+
+def _divide_by_phi(p: list[int], d: int) -> list[int] | None:
+    """p / prod_{e|d} (1 - x^e)^mu(d/e), or None if that does not divide p.
+
+    p holds a nonzero polynomial with no trailing zeros, and so does the
+    quotient.  The factored product is Phi_d for d > 1 and -Phi_1 for d = 1.
+    The e with mu(d/e) = +-1 are d over the square-free products of d's
+    primes, the sign being that of (-1)^(number of primes).
     """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else 0
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coeffs)})"
-
-
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    if a.is_zero or b.is_zero:
-        return IntPolynomial()
-    out_len = len(a.coeffs) + len(b.coeffs) - 1
-    return IntPolynomial(convolve(a.coeffs, b.coeffs, out_len))
-
-
-def poly_divrem(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Long division a = b*q + r with deg r < deg b; b must be monic so the
-    quotient stays over the integers."""
-    if not b.is_monic:
-        raise ValueError("non-monic divisor")
-    bc = b.coeffs
-    db = len(bc) - 1
-    r = list(a.coeffs)
-    q = [0] * max(0, len(r) - db)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i]
-        if c:
-            q[i - db] = c
-            for j, bj in enumerate(bc):
-                r[i - db + j] -= c * bj
-    return IntPolynomial(q), IntPolynomial(r[:db])
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(d: int) -> IntPolynomial:
-    """The d-th cyclotomic polynomial, by exact division:
-    (x^d - 1) / product of cyclotomic(e) over proper divisors e of d."""
-    if d < 1 or d > _CYCLOTOMIC_LIMIT:
-        raise ValueError("cyclotomic index out of range")
-    num = IntPolynomial([-1] + [0] * (d - 1) + [1])
-    den = IntPolynomial([1])
-    for e in range(1, d):
-        if d % e == 0:
-            den = poly_mul(den, cyclotomic(e))
-    quot, rem = poly_divrem(num, den)
-    if not rem.is_zero:
-        raise ArithmeticError("internal division failure")
-    return quot
+    plus, minus = [d], []
+    for prime in _prime_factors(d):
+        plus, minus = plus + [e // prime for e in minus], minus + [e // prime for e in plus]
+    q = list(p)
+    for e in minus:
+        q += [0] * e
+        _mul_binomial_inplace(q, e)
+    for e in plus:
+        _div_binomial_inplace(q, e)
+        if any(q[-e:]):
+            return None
+        del q[-e:]
+    return q
 
 
 def root_multiplicities(factors: int) -> tuple[int, ...]:
@@ -109,21 +71,17 @@ def root_multiplicities(factors: int) -> tuple[int, ...]:
 
     The full product (degree factors(factors+1)/2, so nothing is truncated)
     is built once.  Phi_factors, ..., Phi_1 are then divided out of the
-    running quotient, each until a nonzero remainder appears.  Distinct
-    cyclotomic polynomials are coprime, so each count equals the one a
-    division of the full product by Phi_d alone would give.  Largest d goes
-    first because that keeps the quotient's coefficients small.
+    running quotient, each until a division fails.  Distinct cyclotomic
+    polynomials are coprime, so each count equals the one a division of the
+    full product by Phi_d alone would give.  Largest d goes first because
+    that keeps the quotient's coefficients small.
     """
     if factors < 0:
         raise ValueError("negative factor count")
-    p = IntPolynomial(partial_product(factors, factors * (factors + 1) // 2).coeffs)
+    p = list(partial_product(factors, factors * (factors + 1) // 2).coeffs)
     counts = [0] * factors
     for d in range(factors, 0, -1):
-        phi = cyclotomic(d)
-        while True:
-            quot, rem = poly_divrem(p, phi)
-            if not rem.is_zero:
-                break
+        while (quot := _divide_by_phi(p, d)) is not None:
             p = quot
             counts[d - 1] += 1
     return tuple(counts)
@@ -134,14 +92,6 @@ def totient(n: int) -> int:
     if n < 1:
         raise ValueError("totient of non-positive integer")
     result = n
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            result -= result // f
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        result -= result // m
+    for prime in _prime_factors(n):
+        result -= result // prime
     return result

@@ -11,7 +11,7 @@ shrunken order rather than as silently wrong high coefficients.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 
 class TruncatedSeries:
@@ -56,29 +56,6 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
 
 
-def convolve(a: Sequence[int], b: Sequence[int], out_len: int) -> list[int]:
-    """Schoolbook convolution of coefficient sequences, cut at out_len.
-
-    Shared by series multiplication (cut at the truncation order) and by
-    untruncated polynomial multiplication (cut at deg a + deg b + 1).
-    """
-    out = [0] * out_len
-    for i, ai in enumerate(a):
-        if i >= out_len:
-            break
-        if ai == 0:
-            continue
-        hi = min(out_len - i, len(b))
-        for j in range(hi):
-            out[i + j] += ai * b[j]
-    return out
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    n = min(a.order, b.order)
-    return TruncatedSeries(convolve(a.coeffs, b.coeffs, n + 1))
-
-
 def _check_factor_exponent(k: int) -> None:
     if k == 0:
         raise ValueError("zero factor exponent")
@@ -106,12 +83,18 @@ def mul_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries(c)
 
 
+def _div_binomial_inplace(c: list[int], k: int) -> None:
+    # c[i] += c[i-k] for i >= k, in ascending i: the prefix-sum inverse of
+    # _mul_binomial_inplace, so each step reads an entry already divided.
+    for i in range(k, len(c)):
+        c[i] += c[i - k]
+
+
 def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
     """Divide exactly by (1 - x^k): the prefix-sum inverse of mul_binomial."""
     _check_factor_exponent(k)
     q = list(a.coeffs)
-    for i in range(k, len(q)):
-        q[i] += q[i - k]
+    _div_binomial_inplace(q, k)
     return TruncatedSeries(q)
 
 

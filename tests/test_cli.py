@@ -167,6 +167,45 @@ def test_stage_order_boundary_agrees_with_verify_stage(capsys, depth):
     assert run_cli(capsys, *argv, str(max_need))[0] == 0
 
 
+def test_verify_roots_above_limit_exits_2_before_any_build(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "root_multiplicities", no_work)
+    monkeypatch.setattr(cli, "identity_exponents", no_work)
+    code, out, err = run_cli(capsys, "verify", "--depth", "1", "--order", "10", "--roots", "10001")
+    assert code == 2
+    assert out == ""
+    # argparse writes its usage line, then the one error line
+    assert [line for line in err.splitlines() if "error" in line] == [
+        "pentaseries verify: error: argument --roots: must be <= 10000"
+    ]
+
+
+def run_cli_subprocess(*argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-m", "pentaseries.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+
+
+@pytest.mark.parametrize("depth", ["1000000000", str(2**63 + 1)], ids=["huge", "past-index-range"])
+def test_verify_depth_at_or_above_order_exits_2_without_walking(depth):
+    # the timeout turns a walk of the stages into a failure instead of a hang
+    proc = run_cli_subprocess("verify", "--depth", depth, "--order", "5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    # one line, so no traceback
+    assert proc.stderr == (
+        f"order below stage emissions: stage {depth} needs an exponent above {depth}, got order 5\n"
+    )
+
+
 def test_bench_csv_shape(capsys):
     code, out, _ = run_cli(capsys, "bench", "--sizes", "60,120")
     assert code == 0
@@ -244,15 +283,7 @@ def test_index_sized_order_exits_2_not_mismatch(capsys, argv):
 def test_partition_huge_n_fails_fast():
     # the table is reserved before the ~2.5e9 pentagonal offsets are built;
     # the timeout turns a regression into a failure instead of a hang
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pentaseries.cli", "partition", "--n", INDEX_OVERFLOW],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=30,
-    )
+    proc = run_cli_subprocess("partition", "--n", INDEX_OVERFLOW)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1

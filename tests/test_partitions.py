@@ -9,7 +9,9 @@ from pentaseries.partitions import (
     partition_values,
 )
 from pentaseries.pentagonal import closed_form_series, gpent
-from pentaseries.series import TruncatedSeries, series_mul
+from pentaseries.series import TruncatedSeries
+
+from schoolbook import series_product
 
 
 def count_by_enumeration(n, largest=None, memo=None):
@@ -91,7 +93,7 @@ def test_series_route_equals_recurrence_route():
 
 def test_defining_identity():
     n = 120
-    prod = series_mul(partition_series(n), closed_form_series(n))
+    prod = series_product(partition_series(n), closed_form_series(n))
     assert prod == TruncatedSeries([1] + [0] * n)
 
 

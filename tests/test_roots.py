@@ -1,15 +1,12 @@
+from functools import lru_cache
+
 import pytest
 
 from pentaseries import roots
-from pentaseries.roots import (
-    IntPolynomial,
-    cyclotomic,
-    poly_divrem,
-    poly_mul,
-    root_multiplicities,
-    totient,
-)
+from pentaseries.roots import root_multiplicities, totient
 from pentaseries.series import partial_product
+
+from schoolbook import schoolbook_product
 
 CYCLOTOMIC_SMALL = {
     1: (-1, 1),
@@ -23,6 +20,90 @@ CYCLOTOMIC_SMALL = {
     10: (1, -1, 1, -1, 1),
     12: (1, 0, -1, 0, 1),
 }
+
+
+# The expanded-polynomial stack that root_multiplicities used before it
+# divided by Phi_d in factored form, kept as the oracle: dense long division
+# by Phi_d, itself found by long division of x^d - 1.
+
+
+class IntPolynomial:
+    """Exact integer polynomial, dense coefficients by ascending exponent.
+
+    Trailing zeros are stripped on construction; the zero polynomial is the
+    empty tuple and reports degree 0.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else 0
+
+    @property
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def __eq__(self, other):
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"IntPolynomial({list(self.coeffs)})"
+
+
+def poly_mul(a, b):
+    if a.is_zero or b.is_zero:
+        return IntPolynomial()
+    out_len = len(a.coeffs) + len(b.coeffs) - 1
+    return IntPolynomial(schoolbook_product(a.coeffs, b.coeffs, out_len))
+
+
+def poly_divrem(a, b):
+    """Long division a = b*q + r with deg r < deg b; b must be monic so the
+    quotient stays over the integers."""
+    if not b.is_monic:
+        raise ValueError("non-monic divisor")
+    bc = b.coeffs
+    db = len(bc) - 1
+    r = list(a.coeffs)
+    q = [0] * max(0, len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            q[i - db] = c
+            for j, bj in enumerate(bc):
+                r[i - db + j] -= c * bj
+    return IntPolynomial(q), IntPolynomial(r[:db])
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d):
+    """The d-th cyclotomic polynomial (d >= 1), by exact division:
+    (x^d - 1) / product of cyclotomic(e) over proper divisors e of d."""
+    num = IntPolynomial([-1] + [0] * (d - 1) + [1])
+    den = IntPolynomial([1])
+    for e in range(1, d):
+        if d % e == 0:
+            den = poly_mul(den, cyclotomic(e))
+    quot, rem = poly_divrem(num, den)
+    if not rem.is_zero:
+        raise ArithmeticError("internal division failure")
+    return quot
 
 
 def poly_mul_oracle(a, b):
@@ -121,13 +202,6 @@ def test_cyclotomic_first_big_coefficient():
     assert min(phi.coeffs) == -2
 
 
-def test_cyclotomic_bounds():
-    with pytest.raises(ValueError, match="cyclotomic index out of range"):
-        cyclotomic(0)
-    with pytest.raises(ValueError, match="cyclotomic index out of range"):
-        cyclotomic(10001)
-
-
 def test_multiplicity_examples():
     assert root_multiplicities(6) == (6, 3, 2, 1, 1, 1)
     assert root_multiplicities(4)[1] == 2
@@ -187,15 +261,29 @@ def test_multiplicities_build_the_product_once(monkeypatch):
 @pytest.mark.parametrize("m", [1, 5, 30])
 def test_multiplicity_divides_the_full_product(monkeypatch, m):
     dividends = []
+    divide = roots._divide_by_phi
 
-    def recording_divrem(a, b):
-        dividends.append(a)
-        return poly_divrem(a, b)
+    def recording_divide(p, d):
+        dividends.append(tuple(p))
+        return divide(p, d)
 
-    monkeypatch.setattr(roots, "poly_divrem", recording_divrem)
+    monkeypatch.setattr(roots, "_divide_by_phi", recording_divide)
     assert root_multiplicities(m)[0] == m
-    assert dividends[0] == dense_binomial_product(m)
-    assert dividends[0].degree == m * (m + 1) // 2
+    assert dividends[0] == dense_binomial_product(m).coeffs
+    assert len(dividends[0]) - 1 == m * (m + 1) // 2
+
+
+def test_factored_division_matches_cyclotomic_oracle(rng):
+    for d in range(1, 61):
+        phi = cyclotomic(d)
+        p = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 12))] + [rng.choice((-3, 1, 2))])
+        dividend = list(poly_mul(p, phi).coeffs)
+        # the factored product is Phi_d for d > 1 but 1 - x = -Phi_1
+        sign = -1 if d == 1 else 1
+        assert roots._divide_by_phi(dividend, d) == [sign * c for c in p.coeffs]
+        r = [rng.randint(-9, 9) for _ in range(totient(d))]
+        r[rng.randrange(len(r))] = rng.choice((-1, 1))
+        assert roots._divide_by_phi(poly_add_oracle(dividend, r), d) is None
 
 
 def test_degree_bookkeeping():
