@@ -29,7 +29,6 @@ Streams carry nothing but (sign, exponent) pairs.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple
@@ -156,40 +155,34 @@ def residual_series(method: str, m: int, order: int) -> TruncatedSeries:
         x^(t + m*j) * (1 - x^m)(1 - x^(m+1))...(1 - x^(m+j+1)),
     where t = 3m(m+1)/2 is the stage anchor.
 
-    Summand j + 1 extends summand j's factor product by one binomial, so the
-    product is grown incrementally and clipped to the exponents that can
-    still land at or below `order`.  The sum is finite because the minimal
-    exponent of summand j grows without bound; summation stops at the first
-    summand that lies entirely above the truncation.
+    The sum is evaluated nested, from the inside out: for method 1 it is
+    x^h (1 - x^m) [1 + x^m (1 - x^(m+1)) [1 + x^m (1 - x^(m+2)) [...]]], and
+    method 2 nests its factors from (1 - x^(m+1)) on under one outer (1 - x^m).
+    Level j is needed only mod x^(order - h - m*j + 1), so the innermost level
+    is ±1, and each level out prepends ±1 and m - 1 zeros (-1 for method 2)
+    and takes one binomial pass.
     """
     _, _, head = _stage(method, m)
     if order < 0:
         raise ValueError("negative order")
-
+    # allocated first, so an order too large for memory fails before any level
     acc = [0] * (order + 1)
     if head > order:
         return TruncatedSeries(acc)
 
-    # method 2 carries one more factor per summand and subtracts the sum
+    # method 2 carries one more factor per level and subtracts the sum, so
+    # it nests -1 instead of 1 and adds x^t back after the outer (1 - x^m)
     extra = method == "method2"
-    combine = operator.sub if extra else operator.add
+    pad = [-1 if extra else 1] + [0] * (m - 1)
+    levels, top = divmod(order - head, m)
+    u = pad[:1] + [0] * top
+    for j in range(levels - 1, -1, -1):
+        u[:0] = pad
+        _mul_binomial_inplace(u, m + j + extra, zeros=m - 1)
     if extra:
-        acc[head] = 1
-
-    # prod holds the running factor product, truncated to the largest prefix
-    # that can still contribute: summand j only touches acc[base..], so only
-    # order - base + 1 of its coefficients matter.
-    prod = [0] * (order - head + 1)
-    prod[0] = 1
-    if extra:
-        _mul_binomial_inplace(prod, m)
-
-    j = 0
-    while (base := head + m * j) <= order:
-        del prod[order - base + 1 :]
-        _mul_binomial_inplace(prod, m + j + extra)
-        acc[base:] = map(combine, acc[base:], prod)
-        j += 1
+        _mul_binomial_inplace(u, m, zeros=m - 1)
+        u[0] += 1
+    acc[head:] = u
     return TruncatedSeries(acc)
 
 

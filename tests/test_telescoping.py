@@ -1,11 +1,13 @@
+import operator
 import sys
 
 import pytest
 
 from pentaseries.pentagonal import closed_form_series, pent_terms_upto
-from pentaseries.series import TruncatedSeries, partial_product, series_add
+from pentaseries.series import TruncatedSeries, _mul_binomial_inplace, partial_product, series_add
 from pentaseries.telescoping import (
     Term,
+    _stage,
     method1_stream,
     method2_stream,
     residual_series,
@@ -59,6 +61,40 @@ def residual_oracle(method, m, order):
                 acc[base + i] -= c
             j += 1
     return tuple(acc)
+
+
+def summation_residual_oracle(method, m, order):
+    """The summand-by-summand loop that residual_series' nested form replaced,
+    kept verbatim as its oracle: two list passes per summand."""
+    _, _, head = _stage(method, m)
+    if order < 0:
+        raise ValueError("negative order")
+
+    acc = [0] * (order + 1)
+    if head > order:
+        return TruncatedSeries(acc)
+
+    # method 2 carries one more factor per summand and subtracts the sum
+    extra = method == "method2"
+    combine = operator.sub if extra else operator.add
+    if extra:
+        acc[head] = 1
+
+    # prod holds the running factor product, truncated to the largest prefix
+    # that can still contribute: summand j only touches acc[base..], so only
+    # order - base + 1 of its coefficients matter.
+    prod = [0] * (order - head + 1)
+    prod[0] = 1
+    if extra:
+        _mul_binomial_inplace(prod, m)
+
+    j = 0
+    while (base := head + m * j) <= order:
+        del prod[order - base + 1 :]
+        _mul_binomial_inplace(prod, m + j + extra)
+        acc[base:] = map(combine, acc[base:], prod)
+        j += 1
+    return TruncatedSeries(acc)
 
 
 def test_method1_first_terms():
@@ -203,3 +239,29 @@ def test_stage_identity_by_hand():
     lhs = series_add(r1, r2)
     rhs = series_add(monomial(order, 2, 1), monomial(order, 5, -1))
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("method", ["method1", "method2"])
+def test_residual_matches_summation_oracle_every_order(method):
+    # the oracle truncates exactly, so its order-400 value read to order + 1
+    # entries is its value at `order`; every order still runs the nested form
+    for m in range(1, 15):
+        full = summation_residual_oracle(method, m, 400).coeffs
+        for order in range(401):
+            assert residual_series(method, m, order).coeffs == full[: order + 1], (m, order)
+
+
+@pytest.mark.parametrize("method", ["method1", "method2"])
+def test_residual_matches_summation_oracle_edge_orders(method):
+    for m in (1, 2, 3, 7, 14, 20):
+        _, _, head = _stage(method, m)
+        orders = {
+            head - 1,  # head above the order: the zero series
+            head,  # order == head
+            head + m - 1,  # the last order with only one level
+            head + m,  # the first with two
+            head + 3 * m + 1,
+        }
+        for order in sorted(orders):
+            want = summation_residual_oracle(method, m, order)
+            assert residual_series(method, m, order) == want, (m, order)
