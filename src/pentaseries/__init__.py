@@ -27,10 +27,7 @@ from .roots import root_multiplicities, totient
 from .series import (
     TruncatedSeries,
     div_binomial,
-    mul_binomial,
     partial_product,
-    series_add,
-    series_from_json,
     series_inverse,
     series_to_json,
 )
@@ -63,7 +60,6 @@ __all__ = [
     "iterated_division_check",
     "method1_stream",
     "method2_stream",
-    "mul_binomial",
     "partial_product",
     "partition_bruteforce",
     "partition_count",
@@ -76,8 +72,6 @@ __all__ = [
     "residual_series",
     "root_multiplicities",
     "run_bench",
-    "series_add",
-    "series_from_json",
     "series_inverse",
     "series_to_json",
     "stage_emissions",

@@ -106,19 +106,17 @@ def partition_series(order: int) -> TruncatedSeries:
     return series_inverse(closed_form_series(order))
 
 
-def iterated_division_check(divisors: int, order: int) -> bool:
+def iterated_division_check(divisors: int) -> bool:
     """Divide the sparse series by (1-x), (1-x^2), ..., (1-x^divisors) in turn
     and test that the quotient is 1 modulo x^(divisors+1).
 
     The exact quotient is the product of the remaining factors, whose
-    expansion starts 1 - x^(divisors+1), hence the modulus.
+    expansion starts 1 - x^(divisors+1), hence the modulus.  Each quotient
+    coefficient reads only lower ones, so the series is taken to that order.
     """
     if divisors < 0:
         raise ValueError("negative divisor count")
-    if order < divisors:
-        raise ValueError("insufficient order")
-    q = closed_form_series(order)
+    q = closed_form_series(divisors)
     for k in range(1, divisors + 1):
         q = div_binomial(q, k)
-    head = q.coeffs[: divisors + 1]
-    return head[0] == 1 and not any(head[1:])
+    return q.coeffs == (1,) + (0,) * divisors

@@ -2,10 +2,7 @@
 
 A series is held modulo x^(N+1) as a dense coefficient sequence indexed by
 exponent, so a value of order N carries exactly N+1 integers.  Everything is
-integer arithmetic; no float ever enters a computation here.  Binary
-operations truncate to the smaller of the two operand orders instead of
-zero-padding, which makes an accidental loss of precision visible as a
-shrunken order rather than as silently wrong high coefficients.
+integer arithmetic; no float ever enters a computation here.
 """
 
 from __future__ import annotations
@@ -52,17 +49,6 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}, ...], order={self.order})"
 
 
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return TruncatedSeries([x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-
-def _check_factor_exponent(k: int) -> None:
-    if k == 0:
-        raise ValueError("zero factor exponent")
-    if k < 0:
-        raise ValueError("negative factor exponent")
-
-
 def _mul_binomial_inplace(c: list[int], k: int, zeros: int = 0) -> None:
     # c[i] -= c[i-k] for i >= k, given the precondition c[1..zeros] == 0.
     # Those zeros leave c[k+1..k+zeros] as they are, so the pass is the
@@ -75,14 +61,6 @@ def _mul_binomial_inplace(c: list[int], k: int, zeros: int = 0) -> None:
         c[k] -= c[0]
 
 
-def mul_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Multiply by (1 - x^k) in one linear pass."""
-    _check_factor_exponent(k)
-    c = list(a.coeffs)
-    _mul_binomial_inplace(c, k)
-    return TruncatedSeries(c)
-
-
 def _div_binomial_inplace(c: list[int], k: int) -> None:
     # c[i] += c[i-k] for i >= k, in ascending i: the prefix-sum inverse of
     # _mul_binomial_inplace, so each step reads an entry already divided.
@@ -91,8 +69,12 @@ def _div_binomial_inplace(c: list[int], k: int) -> None:
 
 
 def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Divide exactly by (1 - x^k): the prefix-sum inverse of mul_binomial."""
-    _check_factor_exponent(k)
+    """Divide exactly by (1 - x^k): the prefix-sum inverse of the binomial
+    multiply pass."""
+    if k == 0:
+        raise ValueError("zero factor exponent")
+    if k < 0:
+        raise ValueError("negative factor exponent")
     q = list(a.coeffs)
     _div_binomial_inplace(q, k)
     return TruncatedSeries(q)
@@ -147,10 +129,3 @@ def partial_product(factors: int, order: int) -> TruncatedSeries:
 def series_to_json(s: TruncatedSeries) -> dict:
     """JSON form: coefficients as decimal strings so nothing can round."""
     return {"order": s.order, "coeffs": [str(c) for c in s.coeffs]}
-
-
-def series_from_json(obj: dict) -> TruncatedSeries:
-    coeffs = [int(c) for c in obj["coeffs"]]
-    if obj["order"] != len(coeffs) - 1:
-        raise ValueError("order mismatch")
-    return TruncatedSeries(coeffs)

@@ -123,11 +123,27 @@ def stage_emissions(method: str, m: int) -> tuple[int, int]:
     return _stage(method, m)[:2]
 
 
-def identity_exponents(method: str, m: int) -> tuple[int, int]:
+def identity_exponents(method: str, m: int, order: int) -> tuple[int, int]:
     """The exponent pair on the explicit side of stage m's identity (see
-    verify_stage): stage m's emissions for method 1, stage m+1's for method 2."""
-    emissions = stage_emissions(method, m)
-    return stage_emissions(method, m + 1) if method == "method2" else emissions
+    verify_stage): stage m's emissions for method 1, stage m+1's for method 2.
+
+    Raises ValueError unless both fit within `order`.  Every stage emission
+    exceeds its index (method 1's low is >= 2m, method 2's (3m^2-m)/2 >= m),
+    so m >= order fails before any stage is walked.
+    """
+    _check_method(method)
+    if m < 1:
+        raise ValueError("stage index below 1")
+    if m >= order:
+        raise ValueError(
+            f"order below stage emissions: stage {m} needs an exponent above {m}, got order {order}"
+        )
+    lo, hi = stage_emissions(method, m + (method == "method2"))
+    if hi > order:
+        raise ValueError(
+            f"order below stage emissions: stage {m} ({method}) needs exponent {hi}, got order {order}"
+        )
+    return lo, hi
 
 
 def stream_series(method: str, order: int) -> TruncatedSeries:
@@ -193,12 +209,10 @@ def verify_stage(method: str, m: int, order: int) -> bool:
     method 2:  residual(m) = x^a + x^b - residual(m+1),
 
     where (e1, e2) are stage m's emissions and (a, b) are stage (m+1)'s.
-    Verified as exact coefficient equality at the given order.
+    Verified as exact coefficient equality at the given order; an order
+    below the identity's exponents raises ValueError (see identity_exponents).
     """
-    lo, hi = identity_exponents(method, m)
-    if hi > order:
-        raise ValueError("order below stage emissions")
-
+    lo, hi = identity_exponents(method, m, order)
     r = residual_series(method, m, order)
     r_next = residual_series(method, m + 1, order)
     expected = [0] * (order + 1)

@@ -125,7 +125,7 @@ def test_criterion_5_partition_correctness():
 
 
 def test_criterion_6_iterated_division():
-    results = {m: iterated_division_check(m, 2 * m + 10) for m in range(51)}
+    results = {m: iterated_division_check(m) for m in range(51)}
     ok = all(results.values())
     report("criterion 6: iterated division to unity for M = 0..50", ok)
     failing = [m for m, good in results.items() if not good]

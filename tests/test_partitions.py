@@ -1,5 +1,6 @@
 import pytest
 
+from pentaseries import partitions
 from pentaseries.partitions import (
     PartitionTable,
     iterated_division_check,
@@ -142,12 +143,24 @@ def test_big_value_exceeds_machine_words():
 
 
 def test_iterated_division():
-    assert iterated_division_check(0, 5)
-    assert iterated_division_check(1, 10)
-    assert iterated_division_check(5, 40)
-    assert all(iterated_division_check(m, 2 * m + 10) for m in range(26))
+    assert iterated_division_check(0)
+    assert iterated_division_check(1)
+    assert iterated_division_check(5)
+    assert all(iterated_division_check(m) for m in range(26))
 
 
-def test_iterated_division_needs_order():
-    with pytest.raises(ValueError, match="insufficient order"):
-        iterated_division_check(5, 4)
+@pytest.mark.parametrize("divisors", [0, 1, 5, 12])
+def test_iterated_division_detects_a_wrong_coefficient(monkeypatch, divisors):
+    asked = []
+    for flip in range(divisors + 1):
+
+        def corrupted(order, flip=flip):
+            asked.append(order)
+            c = list(closed_form_series(order).coeffs)
+            c[flip] += 1
+            return TruncatedSeries(c)
+
+        monkeypatch.setattr(partitions, "closed_form_series", corrupted)
+        assert not iterated_division_check(divisors), flip
+    # the check reads the series only up to x^divisors
+    assert asked == [divisors] * (divisors + 1)

@@ -3,11 +3,13 @@ import sys
 
 import pytest
 
+from pentaseries import telescoping
 from pentaseries.pentagonal import closed_form_series, pent_terms_upto
-from pentaseries.series import TruncatedSeries, _mul_binomial_inplace, partial_product, series_add
+from pentaseries.series import TruncatedSeries, _mul_binomial_inplace, partial_product
 from pentaseries.telescoping import (
     Term,
     _stage,
+    identity_exponents,
     method1_stream,
     method2_stream,
     residual_series,
@@ -16,12 +18,6 @@ from pentaseries.telescoping import (
     stream_series,
     verify_stage,
 )
-
-
-def monomial(order, exponent, sign):
-    c = [0] * (order + 1)
-    c[exponent] = sign
-    return TruncatedSeries(c)
 
 
 def residual_oracle(method, m, order):
@@ -226,9 +222,27 @@ def test_verify_stage_order_guard():
     with pytest.raises(ValueError, match="order below stage emissions"):
         verify_stage("method1", 1, 4)
     # the method-2 identity for stage 1 reaches exponent 7
-    with pytest.raises(ValueError, match="order below stage emissions"):
+    with pytest.raises(ValueError) as info:
         verify_stage("method2", 1, 6)
+    assert str(info.value) == "order below stage emissions: stage 1 (method2) needs exponent 7, got order 6"
     assert verify_stage("method1", 1, 5) in (True, False)
+
+
+@pytest.mark.parametrize("m", [10**9, 2**63 + 1], ids=["huge", "past-index-range"])
+@pytest.mark.parametrize("method", ["method1", "method2"])
+def test_stage_at_or_above_order_fails_before_walking(monkeypatch, method, m):
+    def no_walk(*args):
+        raise AssertionError("stages walked")
+
+    monkeypatch.setattr(telescoping, "_stages", no_walk)
+    message = f"order below stage emissions: stage {m} needs an exponent above {m}, got order 5"
+    for check in (verify_stage, identity_exponents):
+        with pytest.raises(ValueError) as info:
+            check(method, m, 5)
+        assert str(info.value) == message
+    # the index check still comes first
+    with pytest.raises(ValueError, match="stage index below 1"):
+        verify_stage("method2", 0, 0)
 
 
 def test_stage_identity_by_hand():
@@ -236,8 +250,9 @@ def test_stage_identity_by_hand():
     order = 120
     r1 = residual_series("method1", 1, order)
     r2 = residual_series("method1", 2, order)
-    lhs = series_add(r1, r2)
-    rhs = series_add(monomial(order, 2, 1), monomial(order, 5, -1))
+    lhs = [a + b for a, b in zip(r1.coeffs, r2.coeffs)]
+    rhs = [0] * (order + 1)
+    rhs[2], rhs[5] = 1, -1
     assert lhs == rhs
 
 
