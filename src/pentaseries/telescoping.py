@@ -29,6 +29,8 @@ Streams carry nothing but (sign, exponent) pairs.
 
 from __future__ import annotations
 
+import operator
+import sys
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple
@@ -52,6 +54,12 @@ class StageState(NamedTuple):
 def _check_method(method: str) -> None:
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
+
+
+def _check_stage(method: str, m: int) -> None:
+    _check_method(method)
+    if m < 1:
+        raise ValueError("stage index below 1")
 
 
 def _stages(method: str) -> Iterator[tuple[int, int, int, int]]:
@@ -79,9 +87,10 @@ def _stages(method: str) -> Iterator[tuple[int, int, int, int]]:
 
 def _stage(method: str, m: int) -> tuple[int, int, int]:
     """(low, high, head) of stage m, read off the recurrence."""
-    _check_method(method)
-    if m < 1:
-        raise ValueError("stage index below 1")
+    _check_stage(method, m)
+    # islice takes no start beyond sys.maxsize, and no walk could get there
+    if m > sys.maxsize:
+        raise ValueError(f"stage index {m} above sys.maxsize")
     return next(islice(_stages(method), m - 1, None))[1:]
 
 
@@ -131,9 +140,7 @@ def identity_exponents(method: str, m: int, order: int) -> tuple[int, int]:
     exceeds its index (method 1's low is >= 2m, method 2's (3m^2-m)/2 >= m),
     so m >= order fails before any stage is walked.
     """
-    _check_method(method)
-    if m < 1:
-        raise ValueError("stage index below 1")
+    _check_stage(method, m)
     if m >= order:
         raise ValueError(
             f"order below stage emissions: stage {m} needs an exponent above {m}, got order {order}"
@@ -160,6 +167,26 @@ def stream_series(method: str, order: int) -> TruncatedSeries:
 
 
 @lru_cache(maxsize=256)
+def _nested_sum(m: int, length: int) -> tuple[int, ...]:
+    """W_m = sum over j >= 0 of x^(m*j) (1 - x^(m+1))(1 - x^(m+2))...(1 - x^(m+j+1)),
+    mod x^length (empty when length < 1).
+
+    Nested from the inside out, W_m = (1 - x^(m+1)) [1 + x^m (1 - x^(m+2)) [...]]:
+    the innermost level is 1, and each level out prepends 1 and m - 1 zeros
+    and takes one binomial pass.
+    """
+    if length < 1:
+        return ()
+    pad = [1] + [0] * (m - 1)
+    levels, top = divmod(length - 1, m)
+    u = pad[:1] + [0] * top
+    for j in range(levels - 1, -1, -1):
+        u[:0] = pad
+        _mul_binomial_inplace(u, m + j + 1, zeros=m - 1)
+    return tuple(u)
+
+
+@lru_cache(maxsize=256)
 def residual_series(method: str, m: int, order: int) -> TruncatedSeries:
     """The stage-m residual (letter value) from its defining sum, mod x^(order+1).
 
@@ -171,32 +198,34 @@ def residual_series(method: str, m: int, order: int) -> TruncatedSeries:
         x^(t + m*j) * (1 - x^m)(1 - x^(m+1))...(1 - x^(m+j+1)),
     where t = 3m(m+1)/2 is the stage anchor.
 
-    The sum is evaluated nested, from the inside out: for method 1 it is
-    x^h (1 - x^m) [1 + x^m (1 - x^(m+1)) [1 + x^m (1 - x^(m+2)) [...]]], and
-    method 2 nests its factors from (1 - x^(m+1)) on under one outer (1 - x^m).
-    Level j is needed only mod x^(order - h - m*j + 1), so the innermost level
-    is ±1, and each level out prepends ±1 and m - 1 zeros (-1 for method 2)
-    and takes one binomial pass.
+    Both sums factor through one nested sum W_m (see _nested_sum):
+    method 1 is x^h (1 - x^m)(1 + x^m W_m) and method 2 is
+    x^t (1 - (1 - x^m) W_m).  Each asks for W_m to the length it needs,
+    order - h - m + 1 and order - t + 1; the recurrences make t = h + m, so
+    the two methods' stage-m residuals share one cached W_m, and each adds
+    only its own outer binomial pass.
     """
-    _, _, head = _stage(method, m)
+    _check_stage(method, m)
     if order < 0:
         raise ValueError("negative order")
     # allocated first, so an order too large for memory fails before any level
     acc = [0] * (order + 1)
+    # every head exceeds 2m - 1, so stage m >= order is zero without a walk
+    if m >= order:
+        return TruncatedSeries(acc)
+    _, _, head = _stage(method, m)
     if head > order:
         return TruncatedSeries(acc)
 
-    # method 2 carries one more factor per level and subtracts the sum, so
-    # it nests -1 instead of 1 and adds x^t back after the outer (1 - x^m)
-    extra = method == "method2"
-    pad = [-1 if extra else 1] + [0] * (m - 1)
-    levels, top = divmod(order - head, m)
-    u = pad[:1] + [0] * top
-    for j in range(levels - 1, -1, -1):
-        u[:0] = pad
-        _mul_binomial_inplace(u, m + j + extra, zeros=m - 1)
-    if extra:
+    if method == "method1":
+        # W_m is empty when the order ends inside the prepended 1 and zeros
+        u = ([1] + [0] * (m - 1))[: order - head + 1]
+        u += _nested_sum(m, order - head - m + 1)
         _mul_binomial_inplace(u, m, zeros=m - 1)
+    else:
+        u = list(_nested_sum(m, order - head + 1))
+        _mul_binomial_inplace(u, m, zeros=m - 1)
+        u = list(map(operator.neg, u))
         u[0] += 1
     acc[head:] = u
     return TruncatedSeries(acc)

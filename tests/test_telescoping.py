@@ -93,6 +93,33 @@ def summation_residual_oracle(method, m, order):
     return TruncatedSeries(acc)
 
 
+def horner_residual_oracle(method, m, order):
+    """The nested form that ran each method's whole nest on its own, kept
+    verbatim as the oracle of the shared nested sum."""
+    _, _, head = _stage(method, m)
+    if order < 0:
+        raise ValueError("negative order")
+    # allocated first, so an order too large for memory fails before any level
+    acc = [0] * (order + 1)
+    if head > order:
+        return TruncatedSeries(acc)
+
+    # method 2 carries one more factor per level and subtracts the sum, so
+    # it nests -1 instead of 1 and adds x^t back after the outer (1 - x^m)
+    extra = method == "method2"
+    pad = [-1 if extra else 1] + [0] * (m - 1)
+    levels, top = divmod(order - head, m)
+    u = pad[:1] + [0] * top
+    for j in range(levels - 1, -1, -1):
+        u[:0] = pad
+        _mul_binomial_inplace(u, m + j + extra, zeros=m - 1)
+    if extra:
+        _mul_binomial_inplace(u, m, zeros=m - 1)
+        u[0] += 1
+    acc[head:] = u
+    return TruncatedSeries(acc)
+
+
 def test_method1_first_terms():
     assert method1_stream(6) == [
         Term(1, 0), Term(-1, 1), Term(-1, 2), Term(1, 5), Term(1, 7), Term(-1, 12),
@@ -263,7 +290,9 @@ def test_residual_matches_summation_oracle_every_order(method):
     for m in range(1, 15):
         full = summation_residual_oracle(method, m, 400).coeffs
         for order in range(401):
-            assert residual_series(method, m, order).coeffs == full[: order + 1], (m, order)
+            got = residual_series(method, m, order)
+            assert got.coeffs == full[: order + 1], (m, order)
+            assert got == horner_residual_oracle(method, m, order), (m, order)
 
 
 @pytest.mark.parametrize("method", ["method1", "method2"])
@@ -273,10 +302,67 @@ def test_residual_matches_summation_oracle_edge_orders(method):
         orders = {
             head - 1,  # head above the order: the zero series
             head,  # order == head
-            head + m - 1,  # the last order with only one level
+            head + m - 1,  # the last order with only one level; method 1's W_m is empty
             head + m,  # the first with two
+            head + 2 * m - 1,  # the last with W_m at its innermost level alone
+            head + 2 * m,  # W_m with one level
+            head + 3 * m,  # W_m with two levels
             head + 3 * m + 1,
         }
         for order in sorted(orders):
-            want = summation_residual_oracle(method, m, order)
-            assert residual_series(method, m, order) == want, (m, order)
+            got = residual_series(method, m, order)
+            assert got == summation_residual_oracle(method, m, order), (m, order)
+            assert got == horner_residual_oracle(method, m, order), (m, order)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_second_method_reuses_the_nested_sum(monkeypatch, m):
+    # stage m's two residuals need W_m to the same length, so once method 1
+    # has built it, method 2 adds only its outer (1 - x^m) pass
+    passes = []
+
+    def counting(c, k, zeros=0):
+        passes.append(k)
+        _mul_binomial_inplace(c, k, zeros)
+
+    residual_series.cache_clear()
+    telescoping._nested_sum.cache_clear()
+    monkeypatch.setattr(telescoping, "_mul_binomial_inplace", counting)
+    first = residual_series("method1", m, 200)
+    assert len(passes) > 1
+    passes.clear()
+    second = residual_series("method2", m, 200)
+    assert passes == [m]
+    assert first == summation_residual_oracle("method1", m, 200)
+    assert second == summation_residual_oracle("method2", m, 200)
+
+
+@pytest.mark.parametrize("m", [10**9, 2**63 + 1], ids=["huge", "past-index-range"])
+@pytest.mark.parametrize("method", ["method1", "method2"])
+def test_residual_at_or_above_order_is_zero_without_walking(monkeypatch, method, m):
+    def no_walk(*args):
+        raise AssertionError("stages walked")
+
+    monkeypatch.setattr(telescoping, "_stages", no_walk)
+    for order in (0, 1, 5):
+        assert residual_series(method, m, order).coeffs == (0,) * (order + 1)
+    # the argument checks still come first, with their own messages
+    with pytest.raises(ValueError, match="unknown method"):
+        residual_series("method3", m, 5)
+    with pytest.raises(ValueError, match="stage index below 1"):
+        residual_series(method, 0, 5)
+    with pytest.raises(ValueError, match="negative order"):
+        residual_series(method, m, -1)
+
+
+@pytest.mark.parametrize("method", ["method1", "method2"])
+def test_stage_past_index_range_fails_clearly(monkeypatch, method):
+    def no_walk(*args):
+        raise AssertionError("stages walked")
+
+    monkeypatch.setattr(telescoping, "_stages", no_walk)
+    m = sys.maxsize + 1
+    for lookup in (_stage, stage_emissions):
+        with pytest.raises(ValueError) as info:
+            lookup(method, m)
+        assert str(info.value) == f"stage index {m} above sys.maxsize"
