@@ -7,6 +7,7 @@ integer arithmetic; no float ever enters a computation here.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterable
 
@@ -107,22 +108,38 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
 def partial_product(factors: int, order: int) -> TruncatedSeries:
     """Expand (1-x)(1-x^2)...(1-x^factors) modulo x^(order+1).
 
-    Factors above the order leave the truncated product unchanged, so the
-    passes run from k = min(factors, order) down to 1, largest first.  Before
-    factor k only factors above k have been applied, and (1 - x^j) never
-    touches an exponent below j, so c[1..k] are still zero: pass k is the
-    scalar update of c[k] plus a dense tail from exponent 2k + 1, empty once
-    2k >= order.  With factors = order that is about order^2/4 element
-    updates instead of order^2/2.  factors = 0 yields the constant series 1.
+    The terms are grouped by the number j of factors that contribute their
+    -x^k.  Picking -x^k from j distinct factors k <= factors gives
+    (-1)^j x^(j(j+1)/2) [factors choose j]_x (the finite q-binomial theorem),
+    so only j up to J = min(factors, max j with j(j+1)/2 <= order) reach the
+    order, and J is about sqrt(2 * order).  Consecutive groups differ by the
+    ratio -x^j (1 - x^(factors-j+1)) / (1 - x^j), and the sum is evaluated in
+    nested (Horner) form from j = J outward: level j is kept mod
+    x^(order+1-j(j-1)/2) and costs one binomial multiply pass, empty once
+    factors-j+1 passes the level's length (always, when factors >= order),
+    one prefix-divide pass by (1 - x^j) and one prepend.  With factors =
+    order that is about 0.94 * order^1.5 element updates instead of the
+    order^2/4 of one pass per factor: about 7 ms instead of 60 ms at order
+    2400 and 50 ms instead of 0.8 s at order 8000 (2-core VM, Python 3.11).
+    factors = 0 yields the constant series 1.
     """
     if factors < 0:
         raise ValueError("negative factor count")
     if order < 0:
         raise ValueError("negative order")
+    # allocated first, so an order too large for memory fails before any level
     c = [0] * (order + 1)
-    c[0] = 1
-    for k in range(min(factors, order), 0, -1):
-        _mul_binomial_inplace(c, k, zeros=k)
+    levels = min(factors, (math.isqrt(8 * order + 1) - 1) // 2)
+    # c holds the nest from level j inward times (-1)^j, so the ratio's sign
+    # sits in each prepended constant and no pass negates.  The innermost
+    # nest is 1, cut to the length its x^(J(J+1)/2) leaves below the order.
+    del c[order + 1 - levels * (levels + 1) // 2 :]
+    c[0] = -1 if levels % 2 else 1
+    for j in range(levels, 0, -1):
+        # the previous level's prepend left c[1..j] zero
+        _mul_binomial_inplace(c, factors - j + 1, zeros=j)
+        _div_binomial_inplace(c, j)
+        c[:0] = [1 if j % 2 else -1] + [0] * (j - 1)
     return TruncatedSeries(c)
 
 

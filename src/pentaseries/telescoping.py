@@ -138,19 +138,28 @@ def identity_exponents(method: str, m: int, order: int) -> tuple[int, int]:
 
     Raises ValueError unless both fit within `order`.  Every stage emission
     exceeds its index (method 1's low is >= 2m, method 2's (3m^2-m)/2 >= m),
-    so m >= order fails before any stage is walked.
+    so m >= order fails before any stage is walked.  The emissions ascend, so
+    the walk stops at the first stage that emits above the order, after at
+    most about sqrt(2 * order / 3) stages.  An order past the platform's
+    index range has no dense series at all and raises OverflowError, also
+    before any stage is walked.
     """
     _check_stage(method, m)
     if m >= order:
         raise ValueError(
             f"order below stage emissions: stage {m} needs an exponent above {m}, got order {order}"
         )
-    lo, hi = stage_emissions(method, m + (method == "method2"))
-    if hi > order:
-        raise ValueError(
-            f"order below stage emissions: stage {m} ({method}) needs exponent {hi}, got order {order}"
-        )
-    return lo, hi
+    if order >= sys.maxsize:
+        raise OverflowError(f"order {order} exceeds the index range")
+    target = m + (method == "method2")
+    for stage, lo, hi, _ in _stages(method):
+        if hi > order:
+            need = f"exponent {hi}" if stage == target else f"an exponent above {hi}"
+            raise ValueError(
+                f"order below stage emissions: stage {m} ({method}) needs {need}, got order {order}"
+            )
+        if stage == target:
+            return lo, hi
 
 
 def stream_series(method: str, order: int) -> TruncatedSeries:

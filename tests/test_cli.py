@@ -290,6 +290,24 @@ def test_partition_huge_n_fails_fast():
     assert "input too large" in proc.stderr
 
 
+@pytest.mark.parametrize("method", ["product", "all"])
+def test_expand_huge_order_fails_fast(method):
+    # the product's list is allocated before its levels are counted or walked;
+    # the timeout turns a regression into a failure instead of a hang
+    proc = run_cli_subprocess("expand", "--method", method, "--order", INDEX_OVERFLOW)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input too large: expand size exceeds the index range\n"
+
+
+def test_verify_huge_depth_and_order_fails_fast():
+    # the order's size is checked before any stage is walked
+    proc = run_cli_subprocess("verify", "--depth", "1000000000", "--order", INDEX_OVERFLOW)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input too large: verify size exceeds the index range\n"
+
+
 def test_expand_all_mismatch_names_first_difference(capsys, monkeypatch):
     order = 30
     _, expected_out, _ = run_cli(capsys, "expand", "--method", "all", "--order", str(order))

@@ -183,6 +183,20 @@ def ascending_product_oracle(factors, order):
     return tuple(c)
 
 
+def descending_product_oracle(factors, order):
+    """The largest-first loop that ran one binomial pass per factor, kept
+    verbatim as the oracle of the expansion grouped by contributing factors."""
+    if factors < 0:
+        raise ValueError("negative factor count")
+    if order < 0:
+        raise ValueError("negative order")
+    c = [0] * (order + 1)
+    c[0] = 1
+    for k in range(min(factors, order), 0, -1):
+        _mul_binomial_inplace(c, k, zeros=k)
+    return TruncatedSeries(c)
+
+
 def test_partial_product_matches_ascending_oracle_grid():
     # includes order 0 and factors above the order
     for factors in range(41):
@@ -201,6 +215,32 @@ def test_partial_product_matches_ascending_oracle_roots_shapes():
     for m in range(31):
         order = m * (m + 1) // 2
         assert partial_product(m, order).coeffs == ascending_product_oracle(m, order)
+
+
+def test_partial_product_matches_descending_oracle_grid():
+    for factors in range(41):
+        for order in range(61):
+            assert partial_product(factors, order) == descending_product_oracle(factors, order)
+
+
+def test_partial_product_matches_descending_oracle_square():
+    # up to the expand workload's largest order; the level count steps from
+    # 67 to 68 between 2345 and 2346 = 68 * 69 / 2
+    for n in [*range(41, 600, 13), 600, 1199, 1200, 1800, 2345, 2346, 2399, 2400]:
+        assert partial_product(n, n) == descending_product_oracle(n, n)
+
+
+def test_partial_product_matches_descending_oracle_roots_shapes():
+    # every level's multiply pass is non-empty at the (M, M(M+1)/2) shapes
+    for m in range(41):
+        order = m * (m + 1) // 2
+        assert partial_product(m, order) == descending_product_oracle(m, order)
+
+
+@pytest.mark.parametrize("factors, order", [(0, 1000), (2500, 0), (1000, 45), (10**18, 40)])
+def test_partial_product_matches_descending_oracle_edges(factors, order):
+    # factors = 0, order = 0 and factors above the order, past the grid
+    assert partial_product(factors, order) == descending_product_oracle(factors, order)
 
 
 def test_binomial_kernel_zero_prefix_matches_full_pass(rng):

@@ -272,6 +272,41 @@ def test_stage_at_or_above_order_fails_before_walking(monkeypatch, method, m):
         verify_stage("method2", 0, 0)
 
 
+@pytest.mark.parametrize("method", ["method1", "method2"])
+def test_order_past_index_range_fails_before_walking(monkeypatch, method):
+    def no_walk(*args):
+        raise AssertionError("stages walked")
+
+    monkeypatch.setattr(telescoping, "_stages", no_walk)
+    # a dense series of order sys.maxsize needs sys.maxsize + 1 entries
+    for check in (verify_stage, identity_exponents):
+        with pytest.raises(OverflowError):
+            check(method, 10**9, sys.maxsize)
+
+
+@pytest.mark.parametrize("method", ["method1", "method2"])
+def test_stage_walk_stops_at_first_emission_above_order(monkeypatch, method):
+    walked = []
+    stages = telescoping._stages
+
+    def counted(method):
+        for stage in stages(method):
+            walked.append(stage)
+            yield stage
+
+    monkeypatch.setattr(telescoping, "_stages", counted)
+    order = 10**6
+    with pytest.raises(ValueError) as info:
+        identity_exponents(method, 10**5, order)
+    # about sqrt(2 * order / 3) = 816 stages instead of 10^5
+    *below, (_, _, hi, _) = walked
+    assert len(walked) < 1000
+    assert hi > order and all(h <= order for _, _, h, _ in below)
+    assert str(info.value) == (
+        f"order below stage emissions: stage 100000 ({method}) needs an exponent above {hi}, got order {order}"
+    )
+
+
 def test_stage_identity_by_hand():
     # residual m plus residual m+1 collapses to the two emitted terms
     order = 120
