@@ -6,62 +6,31 @@ resulting recurrence, iterated exact division, and algebraic root-of-unity
 multiplicity checks.  All arithmetic is exact integers.
 """
 
-from .bench import (
-    CSV_HEADER,
-    BenchRecord,
-    fitted_exponent,
-    records_to_csv,
-    records_to_json_objs,
-    run_bench,
-)
+from .bench import CSV_HEADER, BenchRecord, records_to_csv, records_to_json_objs, run_bench
 from .partitions import (
     PartitionTable,
     iterated_division_check,
-    partition_bruteforce,
     partition_count,
     partition_series,
     partition_values,
 )
 from .pentagonal import PentTerm, closed_form_series, gpent, pent_sign, pent_terms_upto
-from .roots import root_multiplicities, totient
-from .series import (
-    TruncatedSeries,
-    div_binomial,
-    partial_product,
-    series_inverse,
-    series_to_json,
-)
-from .telescoping import (
-    StageState,
-    Term,
-    identity_exponents,
-    method1_stream,
-    method2_stream,
-    residual_series,
-    stage_emissions,
-    stage_states,
-    stream_series,
-    verify_stage,
-)
+from .roots import root_multiplicities
+from .series import TruncatedSeries, partial_product, series_inverse, series_to_json
+from .telescoping import Term, identity_exponents, residual_series, stream_series, verify_stage
 
 __all__ = [
     "BenchRecord",
     "CSV_HEADER",
     "PartitionTable",
     "PentTerm",
-    "StageState",
     "Term",
     "TruncatedSeries",
     "closed_form_series",
-    "div_binomial",
-    "fitted_exponent",
     "gpent",
     "identity_exponents",
     "iterated_division_check",
-    "method1_stream",
-    "method2_stream",
     "partial_product",
-    "partition_bruteforce",
     "partition_count",
     "partition_series",
     "partition_values",
@@ -74,9 +43,6 @@ __all__ = [
     "run_bench",
     "series_inverse",
     "series_to_json",
-    "stage_emissions",
-    "stage_states",
     "stream_series",
-    "totient",
     "verify_stage",
 ]

@@ -9,7 +9,6 @@ their operand sizes grow with n.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import NamedTuple
 
@@ -35,8 +34,6 @@ _TASKS = (
     ("partition_recurrence", partition_values),
 )
 
-TASK_NAMES = tuple(name for name, _ in _TASKS)
-
 
 def _peak_bits(coeffs) -> int:
     return max(abs(c).bit_length() for c in coeffs)
@@ -44,8 +41,6 @@ def _peak_bits(coeffs) -> int:
 
 def run_bench(sizes: list[int]) -> list[BenchRecord]:
     """One BenchRecord per (size, task), sizes outermost."""
-    import statistics  # deferred: the other CLI commands never need it
-
     records = []
     for n in sizes:
         for name, fn in _TASKS:
@@ -56,9 +51,8 @@ def run_bench(sizes: list[int]) -> list[BenchRecord]:
                 start = time.perf_counter_ns()
                 result = fn(n)
                 times.append(time.perf_counter_ns() - start)
-            records.append(
-                BenchRecord(name, n, int(statistics.median(times)), _peak_bits(result))
-            )
+            # REPETITIONS is odd, so the median is the middle sample
+            records.append(BenchRecord(name, n, sorted(times)[REPETITIONS // 2], _peak_bits(result)))
     return records
 
 
@@ -70,22 +64,5 @@ def records_to_csv(records: list[BenchRecord]) -> str:
 
 
 def records_to_json_objs(records: list[BenchRecord]) -> list[dict]:
-    return [
-        {"task": r.task, "n": r.n, "wall_ns": r.wall_ns, "max_coeff_bits": r.max_coeff_bits}
-        for r in records
-    ]
-
-
-def fitted_exponent(records: list[BenchRecord], task: str) -> float:
-    """Least-squares slope of log(wall_ns) against log(n) for one task.
-
-    The growth-trend summary for reports; requires at least two sizes.
-    """
-    points = [(math.log(r.n), math.log(r.wall_ns)) for r in records if r.task == task]
-    if len(points) < 2:
-        raise ValueError("need at least two sizes to fit")
-    mean_x = sum(x for x, _ in points) / len(points)
-    mean_y = sum(y for _, y in points) / len(points)
-    num = sum((x - mean_x) * (y - mean_y) for x, y in points)
-    den = sum((x - mean_x) ** 2 for x, _ in points)
-    return num / den
+    # _asdict keeps the field order, which is the canonical key order
+    return [r._asdict() for r in records]

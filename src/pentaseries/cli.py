@@ -178,7 +178,7 @@ def _size_list(text: str) -> tuple[int, ...]:
         sizes = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    # fitted_exponent takes log(n), so every size must be positive
+    # the sizes are the x-axis of criterion 8's log-log fit, so each must be positive
     if not sizes or any(s < 1 for s in sizes):
         raise argparse.ArgumentTypeError("sizes must be >= 1")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):

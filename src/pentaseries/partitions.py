@@ -14,13 +14,14 @@ inversion.  The table takes the offsets <= n from pent_terms_upto once per
 extension, split by sign into two ascending lists (odd k added, even k
 subtracted), and each new entry is one sum over the prefix of each list
 that is <= m.  Both routes are implemented; their agreement is one of the
-artifact's cross-checks, with a small enumeration oracle as the third leg.
+artifact's cross-checks, and the tests add a small dynamic-program oracle as
+the third leg.
 """
 
 from __future__ import annotations
 
 from .pentagonal import closed_form_series, pent_terms_upto
-from .series import TruncatedSeries, div_binomial, series_inverse
+from .series import TruncatedSeries, _div_binomial_inplace, series_inverse
 
 
 class PartitionTable:
@@ -84,23 +85,6 @@ def partition_values(n: int) -> tuple[int, ...]:
     return table.values
 
 
-def partition_bruteforce(n: int) -> int:
-    """p(n) by the largest-part dynamic program; verification oracle only.
-
-    Deliberately a different algorithm family from partition_count: it never
-    touches pentagonal numbers, so the two cannot share a bug.
-    """
-    if n < 0:
-        raise ValueError("negative n")
-    if n > 100:
-        raise ValueError("oracle bound exceeded")
-    ways = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            ways[total] += ways[total - part]
-    return ways[n]
-
-
 def partition_series(order: int) -> TruncatedSeries:
     """Generating-function route: invert the sparse sign series."""
     return series_inverse(closed_form_series(order))
@@ -116,7 +100,7 @@ def iterated_division_check(divisors: int) -> bool:
     """
     if divisors < 0:
         raise ValueError("negative divisor count")
-    q = closed_form_series(divisors)
+    q = list(closed_form_series(divisors).coeffs)
     for k in range(1, divisors + 1):
-        q = div_binomial(q, k)
-    return q.coeffs == (1,) + (0,) * divisors
+        _div_binomial_inplace(q, k)
+    return q == [1] + [0] * divisors

@@ -85,13 +85,3 @@ def root_multiplicities(factors: int) -> tuple[int, ...]:
             p = quot
             counts[d - 1] += 1
     return tuple(counts)
-
-
-def totient(n: int) -> int:
-    """Count of 1 <= k <= n coprime to n, by trial-division factoring."""
-    if n < 1:
-        raise ValueError("totient of non-positive integer")
-    result = n
-    for prime in _prime_factors(n):
-        result -= result // prime
-    return result

@@ -69,18 +69,6 @@ def _div_binomial_inplace(c: list[int], k: int) -> None:
         c[i] += c[i - k]
 
 
-def div_binomial(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    """Divide exactly by (1 - x^k): the prefix-sum inverse of the binomial
-    multiply pass."""
-    if k == 0:
-        raise ValueError("zero factor exponent")
-    if k < 0:
-        raise ValueError("negative factor exponent")
-    q = list(a.coeffs)
-    _div_binomial_inplace(q, k)
-    return TruncatedSeries(q)
-
-
 def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
     """Multiplicative inverse modulo x^(order+1).
 

@@ -45,12 +45,6 @@ class Term(NamedTuple):
     exponent: int
 
 
-class StageState(NamedTuple):
-    method: str
-    m: int
-    head: int
-
-
 def _check_method(method: str) -> None:
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -106,30 +100,6 @@ def _terms(method: str) -> Iterator[Term]:
         s = -1 if m % 2 else 1
         yield Term(s, low)
         yield Term(flip * s, high)
-
-
-def method1_stream(count: int) -> list[Term]:
-    """First `count` terms: (+1,0), (-1,1), then the stage pairs with
-    alternating pair signs."""
-    return list(islice(_terms("method1"), count))
-
-
-def method2_stream(count: int) -> list[Term]:
-    """First `count` terms: (+1,0), then for n = 1, 2, ... the equal-signed
-    pair at (t_n - 2n, t_n - n)."""
-    return list(islice(_terms("method2"), count))
-
-
-def stage_states(method: str, count: int) -> list[StageState]:
-    """The first `count` stage records; head is e1 for method 1 and the
-    triangular anchor for method 2."""
-    _check_method(method)
-    return [StageState(method, m, head) for m, _, _, head in islice(_stages(method), count)]
-
-
-def stage_emissions(method: str, m: int) -> tuple[int, int]:
-    """The exponent pair stage m emits, ascending."""
-    return _stage(method, m)[:2]
 
 
 def identity_exponents(method: str, m: int, order: int) -> tuple[int, int]:

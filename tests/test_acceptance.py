@@ -6,25 +6,22 @@ integer identity with zero tolerance.
 """
 
 import time
+from itertools import islice
 
-from pentaseries.bench import CSV_HEADER, TASK_NAMES, fitted_exponent, records_to_csv, run_bench
+from pentaseries import telescoping
+from pentaseries.bench import CSV_HEADER, records_to_csv, run_bench
 from pentaseries.partitions import (
     iterated_division_check,
-    partition_bruteforce,
     partition_count,
     partition_series,
     partition_values,
 )
 from pentaseries.pentagonal import closed_form_series, pent_terms_upto
 from pentaseries.series import TruncatedSeries, partial_product
-from pentaseries.telescoping import (
-    method1_stream,
-    method2_stream,
-    stage_states,
-    verify_stage,
-)
-from pentaseries.roots import root_multiplicities, totient
+from pentaseries.telescoping import verify_stage
+from pentaseries.roots import root_multiplicities
 
+from oracles import fitted_exponent, partition_bruteforce, totient
 from schoolbook import series_product
 
 
@@ -72,16 +69,16 @@ def test_criterion_2_golden_prefix():
 
 def test_criterion_3_stream_equivalence():
     count = 200
-    s1 = sorted(method1_stream(count), key=lambda t: t.exponent)
-    s2 = sorted(method2_stream(count), key=lambda t: t.exponent)
+    s1 = sorted(islice(telescoping._terms("method1"), count), key=lambda t: t.exponent)
+    s2 = sorted(islice(telescoping._terms("method2"), count), key=lambda t: t.exponent)
     streams_match = s1 == s2
 
     horizon = max(t.exponent for t in s1)
     pent = [(1, 0)] + [(t.sign, t.exponent) for t in pent_terms_upto(horizon)]
     pent_match = [(t.sign, t.exponent) for t in s1] == pent[:count]
 
-    heads = [s.head for s in stage_states("method1", 6)]
-    anchors = [s.head for s in stage_states("method2", 5)]
+    heads = [head for _, _, _, head in islice(telescoping._stages("method1"), 6)]
+    anchors = [head for _, _, _, head in islice(telescoping._stages("method2"), 5)]
     heads_ok = heads == [2, 7, 15, 26, 40, 57]
     anchors_ok = anchors == [3, 9, 18, 30, 45]
 
@@ -155,7 +152,8 @@ def test_criterion_8_performance_report():
 
     csv_complete = (
         lines[0] == CSV_HEADER
-        and len(lines) == 1 + len(sizes) * len(TASK_NAMES)
+        # one row per size for each of the three tasks fitted below
+        and len(lines) == 1 + len(sizes) * 3
         and all(r.wall_ns > 0 for r in records)
     )
 

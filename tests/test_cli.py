@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from pentaseries import cli
+from pentaseries import bench, cli
 from pentaseries.cli import canonical_json, format_series, main
 from pentaseries.partitions import partition_series
 from pentaseries.series import TruncatedSeries
-from pentaseries.telescoping import stage_emissions, verify_stage
+from pentaseries.telescoping import _stage, verify_stage
 
 
 def run_cli(capsys, *argv):
@@ -154,8 +154,8 @@ def test_verify_order_too_small(capsys):
 def test_stage_order_boundary_agrees_with_verify_stage(capsys, depth):
     # method 2's stage-m identity carries stage m+1's emissions
     needs = {
-        "method1": stage_emissions("method1", depth)[1],
-        "method2": stage_emissions("method2", depth + 1)[1],
+        "method1": _stage("method1", depth)[1],
+        "method2": _stage("method2", depth + 1)[1],
     }
     for method, need in needs.items():
         with pytest.raises(ValueError, match="order below stage emissions"):
@@ -229,6 +229,33 @@ def test_bench_json_round_trip(capsys):
     assert canonical_json(payload) == line
 
 
+def test_bench_records_the_median_of_the_timed_calls(monkeypatch):
+    # per (size, task): one warm-up, then five timed calls taking these ns
+    durations = {30: [50, 10, 40, 20, 30], 70: [7, 9, 6, 10, 8]}
+    stamps = []
+    for n in durations:
+        for d in durations[n]:
+            start = 1000 * len(stamps)
+            stamps += [start, start + d]
+    events = []
+
+    def clock():
+        events.append("clock")
+        return stamps.pop(0)
+
+    def task(n):
+        events.append("call")
+        return [n]
+
+    monkeypatch.setattr(bench, "_TASKS", (("t", task),))
+    monkeypatch.setattr(bench.time, "perf_counter_ns", clock)
+    records = bench.run_bench(list(durations))
+    assert [(r.n, r.wall_ns, r.max_coeff_bits) for r in records] == [(30, 30, 5), (70, 8, 7)]
+    # the warm-up call runs before the first clock read of its size, untimed
+    assert events == (["call"] + ["clock", "call", "clock"] * 5) * 2
+    assert stamps == []
+
+
 def test_bench_rejects_unordered_sizes(capsys):
     code, _, _ = run_cli(capsys, "bench", "--sizes", "300,200")
     assert code == 2
@@ -239,7 +266,7 @@ def test_bench_rejects_unordered_sizes(capsys):
 
 
 def test_bench_rejects_size_zero(capsys):
-    # fitted_exponent takes log(n), so n = 0 is no usable data point
+    # the sizes are the x-axis of criterion 8's log-log fit, so n = 0 is no usable data point
     code, _, err = run_cli(capsys, "bench", "--sizes", "0")
     assert code == 2
     assert "sizes must be >= 1" in err

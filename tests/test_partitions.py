@@ -4,7 +4,6 @@ from pentaseries import partitions
 from pentaseries.partitions import (
     PartitionTable,
     iterated_division_check,
-    partition_bruteforce,
     partition_count,
     partition_series,
     partition_values,
@@ -12,6 +11,7 @@ from pentaseries.partitions import (
 from pentaseries.pentagonal import closed_form_series, gpent
 from pentaseries.series import TruncatedSeries
 
+from oracles import partition_bruteforce
 from schoolbook import series_product
 
 

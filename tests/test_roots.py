@@ -3,9 +3,10 @@ from functools import lru_cache
 import pytest
 
 from pentaseries import roots
-from pentaseries.roots import root_multiplicities, totient
+from pentaseries.roots import root_multiplicities
 from pentaseries.series import partial_product
 
+from oracles import totient
 from schoolbook import schoolbook_product
 
 CYCLOTOMIC_SMALL = {

@@ -1,5 +1,6 @@
 import operator
 import sys
+from itertools import islice
 
 import pytest
 
@@ -10,11 +11,7 @@ from pentaseries.telescoping import (
     Term,
     _stage,
     identity_exponents,
-    method1_stream,
-    method2_stream,
     residual_series,
-    stage_emissions,
-    stage_states,
     stream_series,
     verify_stage,
 )
@@ -120,51 +117,54 @@ def horner_residual_oracle(method, m, order):
     return TruncatedSeries(acc)
 
 
+def first_terms(method, count):
+    return list(islice(telescoping._terms(method), count))
+
+
 def test_method1_first_terms():
-    assert method1_stream(6) == [
+    assert first_terms("method1", 6) == [
         Term(1, 0), Term(-1, 1), Term(-1, 2), Term(1, 5), Term(1, 7), Term(-1, 12),
     ]
-    assert method1_stream(0) == []
+    assert first_terms("method1", 0) == []
 
 
 def test_method2_first_terms():
-    assert method2_stream(7) == [
+    assert first_terms("method2", 7) == [
         Term(1, 0), Term(-1, 1), Term(-1, 2), Term(1, 5), Term(1, 7),
         Term(-1, 12), Term(-1, 15),
     ]
-    assert method2_stream(1) == [Term(1, 0)]
+    assert first_terms("method2", 1) == [Term(1, 0)]
 
 
 def test_stage_heads_and_anchors():
-    heads = [s.head for s in stage_states("method1", 6)]
+    heads = [head for _, _, _, head in islice(telescoping._stages("method1"), 6)]
     assert heads == [2, 7, 15, 26, 40, 57]
-    anchors = [s.head for s in stage_states("method2", 5)]
+    anchors = [head for _, _, _, head in islice(telescoping._stages("method2"), 5)]
     assert anchors == [3, 9, 18, 30, 45]
-    assert all(s.method == "method1" for s in stage_states("method1", 3))
 
 
 def test_stage_emissions_pairs():
-    assert stage_emissions("method1", 1) == (2, 5)
-    assert stage_emissions("method1", 2) == (7, 12)
-    assert stage_emissions("method2", 1) == (1, 2)
-    assert stage_emissions("method2", 2) == (5, 7)
-    assert stage_emissions("method2", 3) == (12, 15)
+    assert _stage("method1", 1)[:2] == (2, 5)
+    assert _stage("method1", 2)[:2] == (7, 12)
+    assert _stage("method2", 1)[:2] == (1, 2)
+    assert _stage("method2", 2)[:2] == (5, 7)
+    assert _stage("method2", 3)[:2] == (12, 15)
 
 
 def test_exponents_strictly_increase():
-    for stream in (method1_stream(120), method2_stream(120)):
+    for stream in (first_terms("method1", 120), first_terms("method2", 120)):
         exps = [t.exponent for t in stream]
         assert all(a < b for a, b in zip(exps, exps[1:]))
 
 
 def test_streams_agree_sorted():
-    a = sorted(method1_stream(120), key=lambda t: t.exponent)
-    b = sorted(method2_stream(120), key=lambda t: t.exponent)
+    a = sorted(first_terms("method1", 120), key=lambda t: t.exponent)
+    b = sorted(first_terms("method2", 120), key=lambda t: t.exponent)
     assert a == b
 
 
 def test_streams_match_pentagonal_enumeration():
-    stream = method1_stream(81)
+    stream = first_terms("method1", 81)
     reference = [Term(1, 0)] + [Term(t.sign, t.exponent) for t in pent_terms_upto(10**6)][:80]
     assert stream == reference
 
@@ -397,7 +397,6 @@ def test_stage_past_index_range_fails_clearly(monkeypatch, method):
 
     monkeypatch.setattr(telescoping, "_stages", no_walk)
     m = sys.maxsize + 1
-    for lookup in (_stage, stage_emissions):
-        with pytest.raises(ValueError) as info:
-            lookup(method, m)
-        assert str(info.value) == f"stage index {m} above sys.maxsize"
+    with pytest.raises(ValueError) as info:
+        _stage(method, m)
+    assert str(info.value) == f"stage index {m} above sys.maxsize"
