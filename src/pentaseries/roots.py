@@ -75,6 +75,10 @@ def root_multiplicities(factors: int) -> tuple[int, ...]:
     polynomials are coprime, so each count equals the one a division of the
     full product by Phi_d alone would give.  Largest d goes first because
     that keeps the quotient's coefficients small.
+
+    The factored division drops the degree by phi(d) >= 1, so an accepted
+    quotient not strictly shorter than its dividend means the division is
+    wrong; that raises ArithmeticError instead of dividing forever.
     """
     if factors < 0:
         raise ValueError("negative factor count")
@@ -82,6 +86,8 @@ def root_multiplicities(factors: int) -> tuple[int, ...]:
     counts = [0] * factors
     for d in range(factors, 0, -1):
         while (quot := _divide_by_phi(p, d)) is not None:
+            if len(quot) >= len(p):
+                raise ArithmeticError(f"division by Phi_{d} left the length at {len(quot)}")
             p = quot
             counts[d - 1] += 1
     return tuple(counts)

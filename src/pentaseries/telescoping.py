@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .series import TruncatedSeries, _mul_binomial_inplace
+from .series import TruncatedSeries, _div_binomial_inplace
 
 _METHODS = ("method1", "method2")
 
@@ -147,22 +147,37 @@ def stream_series(method: str, order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=256)
 def _nested_sum(m: int, length: int) -> tuple[int, ...]:
-    """W_m = sum over j >= 0 of x^(m*j) (1 - x^(m+1))(1 - x^(m+2))...(1 - x^(m+j+1)),
-    mod x^length (empty when length < 1).
+    """V_m = (1 - x^m) W_m mod x^length (empty when length < 1), where
+    W_m = sum over j >= 0 of x^(m*j) (1 - x^(m+1))(1 - x^(m+2))...(1 - x^(m+j+1)).
 
-    Nested from the inside out, W_m = (1 - x^(m+1)) [1 + x^m (1 - x^(m+2)) [...]]:
-    the innermost level is 1, and each level out prepends 1 and m - 1 zeros
-    and takes one binomial pass.
+    Grouped by the number i of factors that contribute their -x^k: the finite
+    q-binomial theorem expands each product, and after swapping the sums,
+    sum over n >= i of [n choose i]_x z^n = z^i / (z; x)_(i+1) at z = x^m gives
+
+        V_m = sum over i >= 0 of (-1)^i x^(e_i) / ((1 - x^(m+1))...(1 - x^(m+i))),
+
+    with e_0 = 0, e_1 = m + 1 and e_i - e_(i-1) = 2m + i after that.  Only
+    the i with e_i < length reach the length, about sqrt(2 * length) of them
+    instead of the length / m levels of W_m's own nest.  The sum is evaluated
+    in nested form from the innermost such i outward: each level is one
+    prefix-divide pass by (1 - x^(m+i)) and one prepend.
     """
     if length < 1:
         return ()
-    pad = [1] + [0] * (m - 1)
-    levels, top = divmod(length - 1, m)
-    u = pad[:1] + [0] * top
-    for j in range(levels - 1, -1, -1):
-        u[:0] = pad
-        _mul_binomial_inplace(u, m + j + 1, zeros=m - 1)
-    return tuple(u)
+    # gaps[i - 1] = e_i - e_(i-1) for each group i >= 1 with e_i < length,
+    # and e ends as the innermost group's e_i
+    gaps, e, gap = [], 0, m + 1
+    while e + gap < length:
+        gaps.append(gap)
+        e += gap
+        gap = 2 * m + len(gaps) + 1
+    # c holds the nest from group i inward times (-1)^i, so the alternating
+    # sign sits in each prepended constant and no pass negates
+    c = [-1 if len(gaps) % 2 else 1] + [0] * (length - e - 1)
+    for i in range(len(gaps), 0, -1):
+        _div_binomial_inplace(c, m + i)
+        c[:0] = [1 if i % 2 else -1] + [0] * (gaps[i - 1] - 1)
+    return tuple(c)
 
 
 @lru_cache(maxsize=256)
@@ -177,12 +192,13 @@ def residual_series(method: str, m: int, order: int) -> TruncatedSeries:
         x^(t + m*j) * (1 - x^m)(1 - x^(m+1))...(1 - x^(m+j+1)),
     where t = 3m(m+1)/2 is the stage anchor.
 
-    Both sums factor through one nested sum W_m (see _nested_sum):
-    method 1 is x^h (1 - x^m)(1 + x^m W_m) and method 2 is
-    x^t (1 - (1 - x^m) W_m).  Each asks for W_m to the length it needs,
+    Both sums factor through one nested sum W_m, and are built from
+    V_m = (1 - x^m) W_m in grouped form (see _nested_sum): method 1 is
+    x^h (1 - x^m)(1 + x^m W_m) = x^h ((1 - x^m) + x^m V_m) and method 2 is
+    x^t (1 - V_m).  Each asks for V_m to the length it needs,
     order - h - m + 1 and order - t + 1; the recurrences make t = h + m, so
-    the two methods' stage-m residuals share one cached W_m, and each adds
-    only its own outer binomial pass.
+    the two methods' stage-m residuals share one cached V_m, and neither
+    adds a pass of its own.
     """
     _check_stage(method, m)
     if order < 0:
@@ -197,14 +213,14 @@ def residual_series(method: str, m: int, order: int) -> TruncatedSeries:
         return TruncatedSeries(acc)
 
     if method == "method1":
-        # W_m is empty when the order ends inside the prepended 1 and zeros
+        # V_m is empty when the order ends inside the prepended 1 and zeros;
+        # otherwise its constant 1 cancels the -x^m
         u = ([1] + [0] * (m - 1))[: order - head + 1]
         u += _nested_sum(m, order - head - m + 1)
-        _mul_binomial_inplace(u, m, zeros=m - 1)
+        if len(u) > m:
+            u[m] -= 1
     else:
-        u = list(_nested_sum(m, order - head + 1))
-        _mul_binomial_inplace(u, m, zeros=m - 1)
-        u = list(map(operator.neg, u))
+        u = list(map(operator.neg, _nested_sum(m, order - head + 1)))
         u[0] += 1
     acc[head:] = u
     return TruncatedSeries(acc)

@@ -259,6 +259,14 @@ def test_multiplicities_build_the_product_once(monkeypatch):
     assert calls == [(20, 210)]
 
 
+def test_division_that_keeps_the_length_fails_instead_of_looping(monkeypatch):
+    # a division that always "succeeds" without dropping the degree would
+    # otherwise divide forever
+    monkeypatch.setattr(roots, "_divide_by_phi", lambda p, d: p)
+    with pytest.raises(ArithmeticError, match="division by Phi_5 left the length at 16"):
+        root_multiplicities(5)
+
+
 @pytest.mark.parametrize("m", [1, 5, 30])
 def test_multiplicity_divides_the_full_product(monkeypatch, m):
     dividends = []

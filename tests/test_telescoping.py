@@ -1,12 +1,18 @@
 import operator
 import sys
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
 from pentaseries import telescoping
 from pentaseries.pentagonal import closed_form_series, pent_terms_upto
-from pentaseries.series import TruncatedSeries, _mul_binomial_inplace, partial_product
+from pentaseries.series import (
+    TruncatedSeries,
+    _div_binomial_inplace,
+    _mul_binomial_inplace,
+    partial_product,
+)
 from pentaseries.telescoping import (
     Term,
     _stage,
@@ -15,6 +21,8 @@ from pentaseries.telescoping import (
     stream_series,
     verify_stage,
 )
+
+from oracles import fitted_exponent
 
 
 def residual_oracle(method, m, order):
@@ -115,6 +123,33 @@ def horner_residual_oracle(method, m, order):
         u[0] += 1
     acc[head:] = u
     return TruncatedSeries(acc)
+
+
+def nested_sum_oracle(m, length):
+    """W_m mod x^length by W_m's own Horner nest, one level per summand,
+    kept verbatim as the oracle of the grouped V_m = (1 - x^m) W_m."""
+    if length < 1:
+        return ()
+    pad = [1] + [0] * (m - 1)
+    levels, top = divmod(length - 1, m)
+    u = pad[:1] + [0] * top
+    for j in range(levels - 1, -1, -1):
+        u[:0] = pad
+        _mul_binomial_inplace(u, m + j + 1, zeros=m - 1)
+    return tuple(u)
+
+
+def grouped_exponent(m, i):
+    """e_i, the exponent of V_m's i-th group: e_0 = 0, then
+    i(m+1) + i(i-1)/2 + m(i-1)."""
+    return i * (m + 1) + i * (i - 1) // 2 + m * (i - 1) if i else 0
+
+
+def v_oracle(m, length):
+    """(1 - x^m) W_m mod x^length from the oracle nest."""
+    v = list(nested_sum_oracle(m, length))
+    _mul_binomial_inplace(v, m)
+    return tuple(v)
 
 
 def first_terms(method, count):
@@ -352,24 +387,64 @@ def test_residual_matches_summation_oracle_edge_orders(method):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_second_method_reuses_the_nested_sum(monkeypatch, m):
-    # stage m's two residuals need W_m to the same length, so once method 1
-    # has built it, method 2 adds only its outer (1 - x^m) pass
+    # stage m's two residuals need V_m to the same length, so once method 1
+    # has built it, method 2 makes no prefix-divide pass of its own
     passes = []
 
-    def counting(c, k, zeros=0):
+    def counting(c, k):
         passes.append(k)
-        _mul_binomial_inplace(c, k, zeros)
+        _div_binomial_inplace(c, k)
 
     residual_series.cache_clear()
     telescoping._nested_sum.cache_clear()
-    monkeypatch.setattr(telescoping, "_mul_binomial_inplace", counting)
+    monkeypatch.setattr(telescoping, "_div_binomial_inplace", counting)
     first = residual_series("method1", m, 200)
-    assert len(passes) > 1
+    assert len(passes) >= 1
     passes.clear()
     second = residual_series("method2", m, 200)
-    assert passes == [m]
+    assert passes == []
     assert first == summation_residual_oracle("method1", m, 200)
     assert second == summation_residual_oracle("method2", m, 200)
+
+
+def test_nested_sum_matches_the_horner_oracle_every_length():
+    # the oracle truncates exactly, so its length-400 value cut to `length`
+    # entries is its value at `length`; every length still runs the grouped form
+    for m in range(1, 21):
+        full = v_oracle(m, 400)
+        for length in range(401):
+            assert telescoping._nested_sum(m, length) == full[:length], (m, length)
+
+
+def test_nested_sum_matches_the_horner_oracle_at_group_edges():
+    # lengths where the innermost group changes: e_i enters once length > e_i
+    for m in range(1, 21):
+        for i in range(1, 5):
+            e = grouped_exponent(m, i)
+            for length in (e - 1, e, e + 1):
+                assert telescoping._nested_sum(m, length) == v_oracle(m, length), (m, i, length)
+
+
+def test_nested_sum_work_grows_below_quadratic(monkeypatch):
+    # W_m's own nest makes about length^2 / (2m) updates; the grouped form
+    # makes about sqrt(2 * length) prefix-divide passes of at most length each
+    updates = []
+
+    def counting(c, k):
+        updates[-1] += max(0, len(c) - k)
+        _div_binomial_inplace(c, k)
+
+    monkeypatch.setattr(telescoping, "_div_binomial_inplace", counting)
+    records = []
+    for length in (250, 500, 1000, 2000, 4000):
+        telescoping._nested_sum.cache_clear()
+        updates.append(0)
+        telescoping._nested_sum(1, length)
+        # fitted_exponent reads the records of the bench report; here the
+        # update count stands in for the wall time
+        records.append(SimpleNamespace(task="nested", n=length, wall_ns=updates[-1]))
+    assert records[2].wall_ns == 26076
+    assert fitted_exponent(records, "nested") < 1.7
 
 
 @pytest.mark.parametrize("m", [10**9, 2**63 + 1], ids=["huge", "past-index-range"])
