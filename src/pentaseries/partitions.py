@@ -11,17 +11,31 @@ with terms dropped once the argument goes negative.  Roughly 2*sqrt(2n/3)
 earlier values contribute per n, so filling a table to n costs O(n^1.5)
 big-integer additions, versus O(n^2) multiplications for direct series
 inversion.  The table takes the offsets <= n from pent_terms_upto once per
-extension, split by sign into two ascending lists (odd k added, even k
-subtracted), and each new entry is one sum over the prefix of each list
-that is <= m.  Both routes are implemented; their agreement is one of the
-artifact's cross-checks, and the tests add a small dynamic-program oracle as
-the third leg.
+extension and fills two entries per addition.  Each window
+W[j] = p(j) + p(j+1)*2^w packs two neighbours into one integer, and each
+offset g >= 2 owns a list iterator over the windows, so the pair p(m),
+p(m+1) is one sum(map(next, ...)) per recurrence sign, run in C, plus the
+offset-1 terms added by hand.  The lane width w covers the largest possible
+low-lane sum, so & and >> split each sum exactly; when that bound outgrows
+w, w becomes twice the bound and the windows are rebuilt.  Each extension
+builds its windows from the whole table, a linear cost that a one-entry
+extension pays too.  Filling p(0..6500) took 22-26 ms in process on a
+2-core VM with Python 3.11 (medians of 7, three rounds), against 42-46 ms
+for one entry at a time (kept in the tests as the oracle).  Both routes are
+implemented; their agreement is one of the artifact's cross-checks, and the
+tests add a small dynamic-program oracle as the third leg.
 """
 
 from __future__ import annotations
 
 from .pentagonal import closed_form_series, pent_terms_upto
 from .series import TruncatedSeries, _div_binomial_inplace, series_inverse
+
+
+def _low_lane_bits(largest: int, count: int) -> int:
+    """Bits that hold any sum of `count` integers in [0, largest]; the sum
+    is at most count*largest < 2^bit_length(count) * 2^bit_length(largest)."""
+    return largest.bit_length() + count.bit_length()
 
 
 class PartitionTable:
@@ -47,20 +61,60 @@ class PartitionTable:
         # here at once rather than after building ~sqrt(n) offsets.
         vals += [0] * (n + 1 - start)
         try:
-            # Offsets <= n split by the recurrence sign (-1)^(k+1), which is
-            # minus the series sign; each list stays ascending like its input.
-            plus: list[int] = []
-            minus: list[int] = []
-            for t in pent_terms_upto(n):
-                (plus if t.sign < 0 else minus).append(t.exponent)
-            # ip / im count the offsets <= m, i.e. the terms entry m uses.
-            ip = im = 0
-            for m in range(start, n + 1):
-                while ip < len(plus) and plus[ip] <= m:
-                    ip += 1
-                while im < len(minus) and minus[im] <= m:
-                    im += 1
-                vals[m] = sum([vals[m - g] for g in plus[:ip]]) - sum([vals[m - g] for g in minus[:im]])
+            # Window W[j] = p(j) + p(j+1)*2^w, with p(-1) = 0, holds two
+            # entries, so one addition of W[m-g] serves offset g for both
+            # p(m) and p(m+1).  wins[s & 1][s >> 1] is W[s-1]: the pair
+            # (m, m+1) reads W[m-g] and the next pair W[m+2-g], so each
+            # offset's cursor steps once per pair.
+            wins: tuple[list[int], list[int]] = ([], [])
+            w = 0
+            mask = 0
+            # One list iterator per offset g >= 2, added (odd k) or
+            # subtracted (even k): the recurrence sign (-1)^(k+1) is minus
+            # the series sign.  Offset 1 reads W[m-1], whose high lane is
+            # the p(m) being computed, so its term is added by hand.
+            offsets = pent_terms_upto(n)[1:]
+            cursors: tuple[list, list] = ([], [])
+            active = 0
+            for m in range(start, n + 1, 2):
+                # Offset g is active from the first pair with g <= m + 1.
+                joined = active
+                while active < len(offsets) and offsets[active].exponent <= m + 1:
+                    active += 1
+                prev = vals[m - 1]
+                # Each sign's low lanes sum at most `active` values
+                # p(m-g) <= p(m-1), as p is nondecreasing, so need bits hold
+                # the sum: & mask and >> w then split it with no carry.
+                need = _low_lane_bits(prev, active)
+                if need > w:
+                    w = 2 * need
+                    mask = (1 << w) - 1
+                    # Rebuild W[-1..m-2] in place, so the cursors keep their
+                    # positions.
+                    lows = [0, *vals[: m - 1]]
+                    for parity in (0, 1):
+                        pairs = zip(lows[parity::2], vals[parity:m:2])
+                        wins[parity][:] = [lo + (hi << w) for lo, hi in pairs]
+                # A new cursor stands at W[m-g].  __setstate__ clamps to the
+                # list's length, so it runs only once that window exists.
+                for t in offsets[joined:active]:
+                    s = m - t.exponent + 1
+                    cursor = iter(wins[s & 1])
+                    cursor.__setstate__(s >> 1)
+                    cursors[t.sign > 0].append(cursor)
+                # Invariant: every window a cursor reads (W[m-g], g >= 2, so
+                # at most W[m-2]) exists before this pair reads it, from the
+                # rebuild or from the appends after the pair before.  So no
+                # cursor is exhausted and map(next, ...) cannot stop short.
+                added = sum(map(next, cursors[0]))
+                subtracted = sum(map(next, cursors[1]))
+                low = (added & mask) - (subtracted & mask) + prev
+                vals[m] = low
+                if m < n:
+                    high = (added >> w) - (subtracted >> w) + low
+                    vals[m + 1] = high
+                    wins[m & 1].append(prev + (low << w))
+                    wins[(m + 1) & 1].append(low + (high << w))
         except BaseException:
             # never leave reserved zeros behind as if they were values
             del vals[start:]

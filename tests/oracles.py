@@ -1,9 +1,11 @@
 """Reference routines that only the tests call: a partition count from a
-different algorithm family, Euler's totient for the degree bookkeeping of the
-root multiplicities, and the log-log fit of the benchmark report."""
+different algorithm family, the one-entry-at-a-time partition table fill,
+Euler's totient for the degree bookkeeping of the root multiplicities, and
+the log-log fit of the benchmark report."""
 
 import math
 
+from pentaseries.pentagonal import pent_terms_upto
 from pentaseries.roots import _prime_factors
 
 
@@ -22,6 +24,31 @@ def partition_bruteforce(n):
         for total in range(part, n + 1):
             ways[total] += ways[total - part]
     return ways[n]
+
+
+def split_sign_fill(vals, n):
+    """Extend vals = [p(0), ..., p(start-1)] in place to p(0), ..., p(n).
+
+    The table fill that two-lane windows replaced: one entry at a time, each
+    a list-comprehension gather and one sum per recurrence sign.
+    """
+    start = len(vals)
+    vals += [0] * (n + 1 - start)
+    # Offsets <= n split by the recurrence sign (-1)^(k+1), which is
+    # minus the series sign; each list stays ascending like its input.
+    plus = []
+    minus = []
+    for t in pent_terms_upto(n):
+        (plus if t.sign < 0 else minus).append(t.exponent)
+    # ip / im count the offsets <= m, i.e. the terms entry m uses.
+    ip = im = 0
+    for m in range(start, n + 1):
+        while ip < len(plus) and plus[ip] <= m:
+            ip += 1
+        while im < len(minus) and minus[im] <= m:
+            im += 1
+        vals[m] = sum([vals[m - g] for g in plus[:ip]]) - sum([vals[m - g] for g in minus[:im]])
+    return vals
 
 
 def totient(n):

@@ -173,13 +173,26 @@ def test_verify_roots_above_limit_exits_2_before_any_build(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "root_multiplicities", no_work)
     monkeypatch.setattr(cli, "identity_exponents", no_work)
-    code, out, err = run_cli(capsys, "verify", "--depth", "1", "--order", "10", "--roots", "10001")
+    code, out, err = run_cli(capsys, "verify", "--depth", "1", "--order", "10", "--roots", "401")
     assert code == 2
     assert out == ""
     # argparse writes its usage line, then the one error line
     assert [line for line in err.splitlines() if "error" in line] == [
-        "pentaseries verify: error: argument --roots: must be <= 10000"
+        "pentaseries verify: error: argument --roots: must be <= 400"
     ]
+
+
+def test_verify_roots_at_limit_is_accepted(capsys, monkeypatch):
+    class WorkStarted(Exception):
+        pass
+
+    def fail(factors):
+        raise WorkStarted(factors)
+
+    monkeypatch.setattr(cli, "root_multiplicities", fail)
+    with pytest.raises(WorkStarted) as started:
+        run_cli(capsys, "verify", "--depth", "1", "--order", "10", "--roots", "400")
+    assert started.value.args == (400,)
 
 
 def run_cli_subprocess(*argv):

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from pentaseries import partitions
 from pentaseries.partitions import (
     PartitionTable,
+    _low_lane_bits,
     iterated_division_check,
     partition_count,
     partition_series,
@@ -11,7 +14,7 @@ from pentaseries.partitions import (
 from pentaseries.pentagonal import closed_form_series, gpent
 from pentaseries.series import TruncatedSeries
 
-from oracles import partition_bruteforce
+from oracles import partition_bruteforce, split_sign_fill
 from schoolbook import series_product
 
 
@@ -120,10 +123,78 @@ def per_term_recurrence(n):
 
 
 def test_split_sign_recurrence_matches_per_term_oracle():
-    oracle = per_term_recurrence(3000)
+    oracle = per_term_recurrence(3001)
+    assert tuple(split_sign_fill([1], 3001)) == oracle
+    # Every entry up to 3001 from one call, whose last pair is whole (3000)
+    # or a single entry (3001), and fresh tables at every n <= 300, so the
+    # first pair starts at 1 and the last ends either way.
+    for n in (3000, 3001):
+        table = PartitionTable()
+        table.extend_to(n)
+        assert table.values == oracle[: n + 1]
+    for n in range(301):
+        assert partition_values(n) == oracle[: n + 1], n
+
+
+def uneven_schedule(seed, top):
+    """Seeded targets for successive extend_to calls, ending at top."""
+    rng = random.Random(seed)
+    targets, n = [], 0
+    while n < top:
+        if n < 5:
+            n += rng.choice((1, 2))
+        elif n < 10:
+            # one call from a start below 11 to past 1000: inside it the
+            # lane width grows and the windows are rebuilt several times
+            n = rng.randrange(1000, 1500)
+        else:
+            n += rng.choice((1, 1, 2, 2, 3, rng.randrange(4, 200)))
+        targets.append(min(n, top))
+    return targets
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_uneven_extensions_match_split_sign_oracle(seed):
+    oracle = tuple(split_sign_fill([1], 3000))
     table = PartitionTable()
-    table.extend_to(3000)
-    assert table.values == oracle
+    # (entries added, parity of the first new entry) for each call
+    shapes = set()
+    for n in uneven_schedule(seed, 3000):
+        start = table.computed_upto + 1
+        table.extend_to(n)
+        shapes.add((n + 1 - start, start % 2))
+        assert table.values == oracle[: n + 1], (start, n)
+    # one- and two-entry extensions from odd and even starts all occurred
+    assert {(1, 0), (1, 1), (2, 0), (2, 1)} <= shapes
+
+
+def test_low_lane_bits_hold_the_worst_sum_and_no_fewer():
+    for largest in range(70):
+        for count in range(70):
+            assert count * largest < 1 << _low_lane_bits(largest, count)
+    # 2^k - 1 values of 2^b - 1 (b, k >= 2) need every one of those bits
+    for b in range(2, 12):
+        for k in range(2, 12):
+            largest, count = (1 << b) - 1, (1 << k) - 1
+            assert count * largest >= 1 << (_low_lane_bits(largest, count) - 1)
+
+
+def test_interrupted_extension_keeps_the_old_entries(monkeypatch):
+    table = PartitionTable()
+    table.extend_to(20)
+    before = table.values
+
+    def interrupted(n):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(partitions, "pent_terms_upto", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        table.extend_to(50)
+    # the entries reserved for 21..50 are gone again
+    assert table.values == before
+    monkeypatch.undo()
+    table.extend_to(50)
+    assert table.values == partition_values(50)
 
 
 def test_uneven_extensions_match_one_call():
