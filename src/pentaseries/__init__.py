@@ -16,7 +16,7 @@ from .partitions import (
 )
 from .pentagonal import PentTerm, closed_form_series, gpent, pent_sign, pent_terms_upto
 from .roots import root_multiplicities
-from .series import TruncatedSeries, partial_product, series_inverse, series_to_json
+from .series import partial_product, series_inverse, series_to_json
 from .telescoping import Term, identity_exponents, residual_series, stream_series, verify_stage
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "PartitionTable",
     "PentTerm",
     "Term",
-    "TruncatedSeries",
     "closed_form_series",
     "gpent",
     "identity_exponents",

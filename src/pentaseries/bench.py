@@ -29,8 +29,8 @@ class BenchRecord(NamedTuple):
 
 # Each task returns the coefficient sequence it computed.
 _TASKS = (
-    ("product", lambda n: partial_product(n, n).coeffs),
-    ("partition_inverse", lambda n: partition_series(n).coeffs),
+    ("product", lambda n: partial_product(n, n)),
+    ("partition_inverse", partition_series),
     ("partition_recurrence", partition_values),
 )
 

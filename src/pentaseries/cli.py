@@ -23,7 +23,7 @@ from .bench import records_to_csv, records_to_json_objs, run_bench
 from .partitions import iterated_division_check, partition_count, partition_values
 from .pentagonal import closed_form_series
 from .roots import root_multiplicities
-from .series import TruncatedSeries, partial_product, series_to_json
+from .series import partial_product, series_to_json
 from .telescoping import identity_exponents, stream_series, verify_stage
 
 _EXPAND_ORDER = ("product", "method1", "method2", "closed")
@@ -36,11 +36,11 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def format_series(s: TruncatedSeries) -> str:
+def format_series(s: tuple[int, ...]) -> str:
     """Human form: zero terms omitted, explicit sign separators,
     e.g. "1 - x - x^2 + x^5"."""
     parts: list[str] = []
-    for e, c in enumerate(s.coeffs):
+    for e, c in enumerate(s):
         if c == 0:
             continue
         mag = abs(c)
@@ -56,7 +56,7 @@ def format_series(s: TruncatedSeries) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _build_series(method: str, order: int) -> TruncatedSeries:
+def _build_series(method: str, order: int) -> tuple[int, ...]:
     if method == "product":
         return partial_product(order, order)
     if method == "closed":
@@ -82,7 +82,7 @@ def cmd_expand(method: str, order: int, fmt: str) -> int:
             # every route returns order + 1 coefficients, so a mismatch
             # always has a first differing exponent
             e, want, got = next(
-                (e, x, y) for e, (x, y) in enumerate(zip(reference.coeffs, results[name].coeffs)) if x != y
+                (e, x, y) for e, (x, y) in enumerate(zip(reference, results[name])) if x != y
             )
             print(f"{name}: first difference at x^{e}: product {want}, {name} {got}", file=sys.stderr)
     if fmt == "json":

@@ -29,7 +29,7 @@ tests add a small dynamic-program oracle as the third leg.
 from __future__ import annotations
 
 from .pentagonal import closed_form_series, pent_terms_upto
-from .series import TruncatedSeries, _div_binomial_inplace, series_inverse
+from .series import _div_binomial_inplace, series_inverse
 
 
 def _low_lane_bits(largest: int, count: int) -> int:
@@ -139,7 +139,7 @@ def partition_values(n: int) -> tuple[int, ...]:
     return table.values
 
 
-def partition_series(order: int) -> TruncatedSeries:
+def partition_series(order: int) -> tuple[int, ...]:
     """Generating-function route: invert the sparse sign series."""
     return series_inverse(closed_form_series(order))
 
@@ -154,7 +154,7 @@ def iterated_division_check(divisors: int) -> bool:
     """
     if divisors < 0:
         raise ValueError("negative divisor count")
-    q = list(closed_form_series(divisors).coeffs)
+    q = list(closed_form_series(divisors))
     for k in range(1, divisors + 1):
         _div_binomial_inplace(q, k)
     return q == [1] + [0] * divisors

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .series import TruncatedSeries
-
 
 class PentTerm(NamedTuple):
     k: int
@@ -42,7 +40,7 @@ def pent_terms_upto(n: int) -> list[PentTerm]:
         k += 1
 
 
-def closed_form_series(n: int) -> TruncatedSeries:
+def closed_form_series(n: int) -> tuple[int, ...]:
     """The sparse sign series: +1 at x^0, (-1)^|k| at each gpent(k) <= n."""
     if n < 0:
         raise ValueError("negative order")
@@ -50,4 +48,4 @@ def closed_form_series(n: int) -> TruncatedSeries:
     c[0] = 1
     for t in pent_terms_upto(n):
         c[t.exponent] = t.sign
-    return TruncatedSeries(c)
+    return tuple(c)

@@ -82,7 +82,7 @@ def root_multiplicities(factors: int) -> tuple[int, ...]:
     """
     if factors < 0:
         raise ValueError("negative factor count")
-    p = list(partial_product(factors, factors * (factors + 1) // 2).coeffs)
+    p = list(partial_product(factors, factors * (factors + 1) // 2))
     counts = [0] * factors
     for d in range(factors, 0, -1):
         while (quot := _divide_by_phi(p, d)) is not None:

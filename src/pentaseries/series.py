@@ -1,53 +1,15 @@
 """Exact truncated power series over arbitrary-precision integers.
 
-A series is held modulo x^(N+1) as a dense coefficient sequence indexed by
-exponent, so a value of order N carries exactly N+1 integers.  Everything is
-integer arithmetic; no float ever enters a computation here.
+A series of order N is a tuple of N+1 ints indexed by exponent: the value
+modulo x^(N+1).  Everything is integer arithmetic; no float ever enters a
+computation here.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable
-
-
-class TruncatedSeries:
-    """Dense integer power series truncated at a fixed order.
-
-    Instances are immutable by convention: ``coeffs`` is a tuple and is never
-    reassigned, so values can be shared freely and used as cache keys.
-    Equality requires both the same order and the same coefficients.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]):
-        cs = tuple(coeffs)
-        if not cs:
-            raise ValueError("empty series")
-        self.coeffs = cs
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, exponent: int) -> int:
-        return self.coeffs[exponent]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if self.order <= 11:
-            return f"TruncatedSeries({list(self.coeffs)})"
-        head = ", ".join(str(c) for c in self.coeffs[:12])
-        return f"TruncatedSeries([{head}, ...], order={self.order})"
+from collections.abc import Sequence
 
 
 def _mul_binomial_inplace(c: list[int], k: int, zeros: int = 0) -> None:
@@ -69,8 +31,8 @@ def _div_binomial_inplace(c: list[int], k: int) -> None:
         c[i] += c[i - k]
 
 
-def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse modulo x^(order+1).
+def series_inverse(a: Sequence[int]) -> tuple[int, ...]:
+    """Multiplicative inverse modulo x^len(a).
 
     Requires a unit constant term (+1 or -1); then b0 = a0 and every later
     coefficient comes from the full dense recurrence
@@ -81,19 +43,20 @@ def series_inverse(a: TruncatedSeries) -> TruncatedSeries:
     purpose: this routine is one of the timing baselines, and skipping zero
     terms of a sparse operand would wreck the comparison.
     """
-    c0 = a.coeffs[0]
+    if not a:
+        raise ValueError("empty series")
+    c0 = a[0]
     if c0 not in (1, -1):
         raise ValueError("non-unit constant term")
-    ac = a.coeffs
     b = [c0]
     mul = operator.mul
-    for n in range(1, a.order + 1):
-        acc = sum(map(mul, ac[1 : n + 1], reversed(b)))
+    for n in range(1, len(a)):
+        acc = sum(map(mul, a[1 : n + 1], reversed(b)))
         b.append(-c0 * acc)
-    return TruncatedSeries(b)
+    return tuple(b)
 
 
-def partial_product(factors: int, order: int) -> TruncatedSeries:
+def partial_product(factors: int, order: int) -> tuple[int, ...]:
     """Expand (1-x)(1-x^2)...(1-x^factors) modulo x^(order+1).
 
     The terms are grouped by the number j of factors that contribute their
@@ -128,9 +91,9 @@ def partial_product(factors: int, order: int) -> TruncatedSeries:
         _mul_binomial_inplace(c, factors - j + 1, zeros=j)
         _div_binomial_inplace(c, j)
         c[:0] = [1 if j % 2 else -1] + [0] * (j - 1)
-    return TruncatedSeries(c)
+    return tuple(c)
 
 
-def series_to_json(s: TruncatedSeries) -> dict:
+def series_to_json(s: Sequence[int]) -> dict:
     """JSON form: coefficients as decimal strings so nothing can round."""
-    return {"order": s.order, "coeffs": [str(c) for c in s.coeffs]}
+    return {"order": len(s) - 1, "coeffs": [str(c) for c in s]}

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .series import TruncatedSeries, _div_binomial_inplace
+from .series import _div_binomial_inplace
 
 _METHODS = ("method1", "method2")
 
@@ -80,11 +80,7 @@ def _stages(method: str) -> Iterator[tuple[int, int, int, int]]:
 
 
 def _stage(method: str, m: int) -> tuple[int, int, int]:
-    """(low, high, head) of stage m, read off the recurrence."""
-    _check_stage(method, m)
-    # islice takes no start beyond sys.maxsize, and no walk could get there
-    if m > sys.maxsize:
-        raise ValueError(f"stage index {m} above sys.maxsize")
+    """(low, high, head) of stage m >= 1, read off the recurrence."""
     return next(islice(_stages(method), m - 1, None))[1:]
 
 
@@ -132,7 +128,7 @@ def identity_exponents(method: str, m: int, order: int) -> tuple[int, int]:
             return lo, hi
 
 
-def stream_series(method: str, order: int) -> TruncatedSeries:
+def stream_series(method: str, order: int) -> tuple[int, ...]:
     """Assemble the stream into a dense series truncated at `order`."""
     _check_method(method)
     if order < 0:
@@ -142,7 +138,7 @@ def stream_series(method: str, order: int) -> TruncatedSeries:
         if exponent > order:
             break
         c[exponent] += sign
-    return TruncatedSeries(c)
+    return tuple(c)
 
 
 @lru_cache(maxsize=256)
@@ -181,7 +177,7 @@ def _nested_sum(m: int, length: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def residual_series(method: str, m: int, order: int) -> TruncatedSeries:
+def residual_series(method: str, m: int, order: int) -> tuple[int, ...]:
     """The stage-m residual (letter value) from its defining sum, mod x^(order+1).
 
     method 1, stage m:   sum over j >= 0 of
@@ -207,10 +203,10 @@ def residual_series(method: str, m: int, order: int) -> TruncatedSeries:
     acc = [0] * (order + 1)
     # every head exceeds 2m - 1, so stage m >= order is zero without a walk
     if m >= order:
-        return TruncatedSeries(acc)
+        return tuple(acc)
     _, _, head = _stage(method, m)
     if head > order:
-        return TruncatedSeries(acc)
+        return tuple(acc)
 
     if method == "method1":
         # V_m is empty when the order ends inside the prepended 1 and zeros;
@@ -223,7 +219,7 @@ def residual_series(method: str, m: int, order: int) -> TruncatedSeries:
         u = list(map(operator.neg, _nested_sum(m, order - head + 1)))
         u[0] += 1
     acc[head:] = u
-    return TruncatedSeries(acc)
+    return tuple(acc)
 
 
 def verify_stage(method: str, m: int, order: int) -> bool:
@@ -242,4 +238,4 @@ def verify_stage(method: str, m: int, order: int) -> bool:
     expected = [0] * (order + 1)
     expected[lo] = 1
     expected[hi] = 1 if method == "method2" else -1
-    return [a + b for a, b in zip(r.coeffs, r_next.coeffs)] == expected
+    return [a + b for a, b in zip(r, r_next)] == expected

@@ -2,8 +2,6 @@
 and polynomial identities are checked against; pentaseries itself only ever
 multiplies by binomials."""
 
-from pentaseries.series import TruncatedSeries
-
 
 def schoolbook_product(a, b, out_len):
     """Product of coefficient sequences a and b, cut at out_len entries."""
@@ -16,4 +14,4 @@ def schoolbook_product(a, b, out_len):
 
 def series_product(a, b):
     """Truncated product of two series, at the smaller of their orders."""
-    return TruncatedSeries(schoolbook_product(a.coeffs, b.coeffs, min(a.order, b.order) + 1))
+    return tuple(schoolbook_product(a, b, min(len(a), len(b))))

@@ -17,7 +17,7 @@ from pentaseries.partitions import (
     partition_values,
 )
 from pentaseries.pentagonal import closed_form_series, pent_terms_upto
-from pentaseries.series import TruncatedSeries, partial_product
+from pentaseries.series import partial_product
 from pentaseries.telescoping import verify_stage
 from pentaseries.roots import root_multiplicities
 
@@ -39,10 +39,10 @@ def test_criterion_1_product_equals_closed_form():
     elapsed = time.perf_counter() - start
 
     equal = product == closed
-    small = set(product.coeffs) <= {-1, 0, 1}
+    small = set(product) <= {-1, 0, 1}
     expected_support = {t.exponent: t.sign for t in pent_terms_upto(n)}
     expected_support[0] = 1
-    support = {e: c for e, c in enumerate(product.coeffs) if c}
+    support = {e: c for e, c in enumerate(product) if c}
     signs_right = support == expected_support
 
     ok = equal and small and signs_right and elapsed < 10.0
@@ -59,8 +59,8 @@ def test_criterion_2_golden_prefix():
     for e, c in golden.items():
         coeffs[e] = c
     expected = tuple(coeffs)
-    got_closed = closed_form_series(51).coeffs
-    got_product = partial_product(51, 51).coeffs
+    got_closed = closed_form_series(51)
+    got_product = partial_product(51, 51)
     ok = got_closed == expected and got_product == expected
     report("criterion 2: golden prefix through x^51", ok)
     assert got_closed == expected
@@ -109,10 +109,10 @@ def test_criterion_5_partition_correctness():
     oracle_ok = all(partition_count(n) == partition_bruteforce(n) for n in range(61))
 
     n = 300
-    unit = TruncatedSeries([1] + [0] * n)
+    unit = (1,) + (0,) * n
     identity_ok = series_product(partition_series(n), closed_form_series(n)) == unit
 
-    routes_ok = partition_series(500).coeffs == partition_values(500)
+    routes_ok = partition_series(500) == partition_values(500)
 
     ok = oracle_ok and identity_ok and routes_ok
     report("criterion 5: partition oracle, defining identity, route agreement", ok)

@@ -1,7 +1,10 @@
-"""The public API holds no name that only the tests use."""
+"""The public API holds no name that only the tests use, and every series it
+returns is a plain tuple."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import pentaseries
 
@@ -32,3 +35,26 @@ def test_every_exported_name_has_a_caller_in_the_package():
         if path.name != "__init__.py":
             used |= _names_used(ast.parse(path.read_text(), str(path)))
     assert sorted(set(pentaseries.__all__) - used) == []
+
+
+# Every series producer, as a function of the order alone.
+PRODUCERS = {
+    "partial_product": lambda n: pentaseries.partial_product(n, n),
+    "stream_series method1": lambda n: pentaseries.stream_series("method1", n),
+    "stream_series method2": lambda n: pentaseries.stream_series("method2", n),
+    "closed_form_series": pentaseries.closed_form_series,
+    "residual_series method1": lambda n: pentaseries.residual_series("method1", 1, n),
+    "residual_series method2": lambda n: pentaseries.residual_series("method2", 1, n),
+    "series_inverse": lambda n: pentaseries.series_inverse([1] + [-1] * n),
+    "partition_series": pentaseries.partition_series,
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 40])
+def test_series_are_tuples_of_order_plus_one_ints(order):
+    for name, build in PRODUCERS.items():
+        s = build(order)
+        assert type(s) is tuple, name
+        assert all(type(c) is int for c in s), name
+        assert len(s) == order + 1, name
+    assert pentaseries.partition_series(order) == pentaseries.partition_values(order)

@@ -12,7 +12,6 @@ from pentaseries.partitions import (
     partition_values,
 )
 from pentaseries.pentagonal import closed_form_series, gpent
-from pentaseries.series import TruncatedSeries
 
 from oracles import partition_bruteforce, split_sign_fill
 from schoolbook import series_product
@@ -86,19 +85,19 @@ def test_values_monotone():
 
 
 def test_partition_series_prefix():
-    assert partition_series(0).coeffs == (1,)
-    assert partition_series(5).coeffs == (1, 1, 2, 3, 5, 7)
+    assert partition_series(0) == (1,)
+    assert partition_series(5) == (1, 1, 2, 3, 5, 7)
 
 
 def test_series_route_equals_recurrence_route():
     n = 150
-    assert partition_series(n).coeffs == partition_values(n)
+    assert partition_series(n) == partition_values(n)
 
 
 def test_defining_identity():
     n = 120
     prod = series_product(partition_series(n), closed_form_series(n))
-    assert prod == TruncatedSeries([1] + [0] * n)
+    assert prod == (1,) + (0,) * n
 
 
 def per_term_recurrence(n):
@@ -227,9 +226,9 @@ def test_iterated_division_detects_a_wrong_coefficient(monkeypatch, divisors):
 
         def corrupted(order, flip=flip):
             asked.append(order)
-            c = list(closed_form_series(order).coeffs)
+            c = list(closed_form_series(order))
             c[flip] += 1
-            return TruncatedSeries(c)
+            return tuple(c)
 
         monkeypatch.setattr(partitions, "closed_form_series", corrupted)
         assert not iterated_division_check(divisors), flip

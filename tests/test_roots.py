@@ -28,81 +28,58 @@ CYCLOTOMIC_SMALL = {
 # by Phi_d, itself found by long division of x^d - 1.
 
 
-class IntPolynomial:
-    """Exact integer polynomial, dense coefficients by ascending exponent.
+def poly(coeffs=()):
+    """Exact integer polynomial as a tuple of coefficients by ascending
+    exponent, trailing zeros stripped; the zero polynomial is ()."""
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
-    Trailing zeros are stripped on construction; the zero polynomial is the
-    empty tuple and reports degree 0.
-    """
 
-    __slots__ = ("coeffs",)
+def degree(p):
+    """The degree of a stripped polynomial; the zero polynomial reports 0."""
+    return len(p) - 1 if p else 0
 
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
 
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else 0
-
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)})"
+def is_monic(p):
+    return bool(p) and p[-1] == 1
 
 
 def poly_mul(a, b):
-    if a.is_zero or b.is_zero:
-        return IntPolynomial()
-    out_len = len(a.coeffs) + len(b.coeffs) - 1
-    return IntPolynomial(schoolbook_product(a.coeffs, b.coeffs, out_len))
+    if not a or not b:
+        return ()
+    return poly(schoolbook_product(a, b, len(a) + len(b) - 1))
 
 
 def poly_divrem(a, b):
     """Long division a = b*q + r with deg r < deg b; b must be monic so the
     quotient stays over the integers."""
-    if not b.is_monic:
+    if not is_monic(b):
         raise ValueError("non-monic divisor")
-    bc = b.coeffs
-    db = len(bc) - 1
-    r = list(a.coeffs)
+    db = len(b) - 1
+    r = list(a)
     q = [0] * max(0, len(r) - db)
     for i in range(len(r) - 1, db - 1, -1):
         c = r[i]
         if c:
             q[i - db] = c
-            for j, bj in enumerate(bc):
+            for j, bj in enumerate(b):
                 r[i - db + j] -= c * bj
-    return IntPolynomial(q), IntPolynomial(r[:db])
+    return poly(q), poly(r[:db])
 
 
 @lru_cache(maxsize=None)
 def cyclotomic(d):
     """The d-th cyclotomic polynomial (d >= 1), by exact division:
     (x^d - 1) / product of cyclotomic(e) over proper divisors e of d."""
-    num = IntPolynomial([-1] + [0] * (d - 1) + [1])
-    den = IntPolynomial([1])
+    num = poly([-1] + [0] * (d - 1) + [1])
+    den = (1,)
     for e in range(1, d):
         if d % e == 0:
             den = poly_mul(den, cyclotomic(e))
     quot, rem = poly_divrem(num, den)
-    if not rem.is_zero:
+    if rem:
         raise ArithmeticError("internal division failure")
     return quot
 
@@ -116,46 +93,44 @@ def poly_mul_oracle(a, b):
 
 
 def test_normalization():
-    p = IntPolynomial([1, 2, 0, 0])
-    assert p.coeffs == (1, 2)
-    assert p.degree == 1
-    z = IntPolynomial([0, 0])
-    assert z.is_zero
-    assert z.degree == 0
-    assert IntPolynomial([1, 2]) == p
-    assert hash(IntPolynomial([1, 2])) == hash(p)
+    p = poly([1, 2, 0, 0])
+    assert p == (1, 2)
+    assert degree(p) == 1
+    z = poly([0, 0])
+    assert z == ()
+    assert degree(z) == 0
 
 
 def test_monic_flag():
-    assert IntPolynomial([5, 1]).is_monic
-    assert not IntPolynomial([1, 2]).is_monic
-    assert not IntPolynomial().is_monic
+    assert is_monic((5, 1))
+    assert not is_monic((1, 2))
+    assert not is_monic(())
 
 
 def test_poly_mul_matches_oracle(rng):
     for _ in range(20):
         a = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))]
         b = [rng.randint(-9, 9) for _ in range(rng.randint(0, 8))]
-        got = poly_mul(IntPolynomial(a), IntPolynomial(b))
-        assert got == IntPolynomial(poly_mul_oracle(a, b))
+        got = poly_mul(poly(a), poly(b))
+        assert got == poly(poly_mul_oracle(a, b))
 
 
 def test_divrem_exact_and_remainder():
-    x2m1 = IntPolynomial([-1, 0, 1])
-    xm1 = IntPolynomial([-1, 1])
+    x2m1 = (-1, 0, 1)
+    xm1 = (-1, 1)
     q, r = poly_divrem(x2m1, xm1)
-    assert q == IntPolynomial([1, 1])
-    assert r.is_zero
-    q, r = poly_divrem(IntPolynomial([1, 0, 1]), xm1)
-    assert q == IntPolynomial([1, 1])
-    assert r == IntPolynomial([2])
+    assert q == (1, 1)
+    assert r == ()
+    q, r = poly_divrem((1, 0, 1), xm1)
+    assert q == (1, 1)
+    assert r == (2,)
 
 
 def test_divrem_rejects_non_monic():
     with pytest.raises(ValueError, match="non-monic divisor"):
-        poly_divrem(IntPolynomial([1, 1]), IntPolynomial([1, 2]))
+        poly_divrem((1, 1), (1, 2))
     with pytest.raises(ValueError, match="non-monic divisor"):
-        poly_divrem(IntPolynomial([1, 1]), IntPolynomial())
+        poly_divrem((1, 1), ())
 
 
 def poly_add_oracle(a, b):
@@ -167,40 +142,40 @@ def poly_add_oracle(a, b):
 
 def test_divrem_round_trip(rng):
     for _ in range(20):
-        a = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 10))])
-        b = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1])
+        a = poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 10))])
+        b = poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1])
         q, r = poly_divrem(a, b)
-        recomposed = poly_add_oracle(poly_mul_oracle(b.coeffs, q.coeffs), r.coeffs)
-        assert IntPolynomial(recomposed) == a
-        assert r.is_zero or r.degree < b.degree
+        recomposed = poly_add_oracle(poly_mul_oracle(b, q), r)
+        assert poly(recomposed) == a
+        assert not r or degree(r) < degree(b)
 
 
 def test_cyclotomic_small_table():
     for d, coeffs in CYCLOTOMIC_SMALL.items():
-        assert cyclotomic(d).coeffs == coeffs
+        assert cyclotomic(d) == coeffs
 
 
 def test_cyclotomic_monic_with_totient_degree():
     for d in range(1, 60):
         phi_d = cyclotomic(d)
-        assert phi_d.is_monic
-        assert phi_d.degree == totient(d)
+        assert is_monic(phi_d)
+        assert degree(phi_d) == totient(d)
 
 
 def test_cyclotomic_product_reassembles():
     for d in (6, 12, 30):
-        prod = IntPolynomial([1])
+        prod = (1,)
         for e in range(1, d + 1):
             if d % e == 0:
                 prod = poly_mul(prod, cyclotomic(e))
-        assert prod == IntPolynomial([-1] + [0] * (d - 1) + [1])
+        assert prod == (-1,) + (0,) * (d - 1) + (1,)
 
 
 def test_cyclotomic_first_big_coefficient():
     # smallest order with a coefficient of magnitude 2
     phi = cyclotomic(105)
-    assert phi.degree == 48
-    assert min(phi.coeffs) == -2
+    assert degree(phi) == 48
+    assert min(phi) == -2
 
 
 def test_multiplicity_examples():
@@ -222,9 +197,9 @@ def test_multiplicities_reject_negative_factor_count():
 
 def dense_binomial_product(m):
     """(1-x)...(1-x^m) by poly_mul with each dense binomial; slow oracle."""
-    p = IntPolynomial([1])
+    p = (1,)
     for k in range(1, m + 1):
-        p = poly_mul(p, IntPolynomial([1] + [0] * (k - 1) + [-1]))
+        p = poly_mul(p, (1,) + (0,) * (k - 1) + (-1,))
     return p
 
 
@@ -235,7 +210,7 @@ def per_d_multiplicity(m, d):
     count = 0
     while True:
         quot, rem = poly_divrem(p, cyclotomic(d))
-        if not rem.is_zero:
+        if rem:
             return count
         p = quot
         count += 1
@@ -278,18 +253,18 @@ def test_multiplicity_divides_the_full_product(monkeypatch, m):
 
     monkeypatch.setattr(roots, "_divide_by_phi", recording_divide)
     assert root_multiplicities(m)[0] == m
-    assert dividends[0] == dense_binomial_product(m).coeffs
+    assert dividends[0] == dense_binomial_product(m)
     assert len(dividends[0]) - 1 == m * (m + 1) // 2
 
 
 def test_factored_division_matches_cyclotomic_oracle(rng):
     for d in range(1, 61):
         phi = cyclotomic(d)
-        p = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 12))] + [rng.choice((-3, 1, 2))])
-        dividend = list(poly_mul(p, phi).coeffs)
+        p = poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 12))] + [rng.choice((-3, 1, 2))])
+        dividend = list(poly_mul(p, phi))
         # the factored product is Phi_d for d > 1 but 1 - x = -Phi_1
         sign = -1 if d == 1 else 1
-        assert roots._divide_by_phi(dividend, d) == [sign * c for c in p.coeffs]
+        assert roots._divide_by_phi(dividend, d) == [sign * c for c in p]
         r = [rng.randint(-9, 9) for _ in range(totient(d))]
         r[rng.randrange(len(r))] = rng.choice((-1, 1))
         assert roots._divide_by_phi(poly_add_oracle(dividend, r), d) is None

@@ -1,7 +1,6 @@
 import pytest
 
 from pentaseries.series import (
-    TruncatedSeries,
     _div_binomial_inplace,
     _mul_binomial_inplace,
     partial_product,
@@ -25,49 +24,26 @@ def conv_oracle(a, b, order):
 
 
 def random_series(rng, order, lo=-9, hi=9):
-    return TruncatedSeries([rng.randint(lo, hi) for _ in range(order + 1)])
-
-
-def test_construction_and_order():
-    s = TruncatedSeries([1])
-    assert s.order == 0
-    assert s.coeffs == (1,)
-    s = TruncatedSeries([1, -1])
-    assert s.order == 1
-    s = TruncatedSeries([0, 0, 1])
-    assert s.coeffs == (0, 0, 1)
-
-
-def test_empty_rejected():
-    with pytest.raises(ValueError, match="empty series"):
-        TruncatedSeries([])
-
-
-def test_equality_needs_equal_order():
-    a = TruncatedSeries([1, -1])
-    b = TruncatedSeries([1, -1, 0])
-    assert a != b
-    assert a == TruncatedSeries([1, -1])
-    assert hash(a) == hash(TruncatedSeries([1, -1]))
+    return tuple(rng.randint(lo, hi) for _ in range(order + 1))
 
 
 def test_mul_difference_of_squares():
-    a = TruncatedSeries([1, -1, 0])
-    b = TruncatedSeries([1, 1, 0])
-    assert series_product(a, b) == TruncatedSeries([1, 0, -1])
+    a = (1, -1, 0)
+    b = (1, 1, 0)
+    assert series_product(a, b) == (1, 0, -1)
 
 
 def test_mul_geometric_collapses():
     n = 20
-    geo = TruncatedSeries([1] * (n + 1))
-    one_minus_x = TruncatedSeries([1, -1] + [0] * (n - 1))
+    geo = (1,) * (n + 1)
+    one_minus_x = (1, -1) + (0,) * (n - 1)
     out = series_product(one_minus_x, geo)
-    assert out.coeffs == (1,) + (0,) * n
+    assert out == (1,) + (0,) * n
 
 
 def test_mul_three_binomials():
     a = partial_product(3, 10)
-    assert a.coeffs == (1, -1, -1, 0, 1, 1, -1, 0, 0, 0, 0)
+    assert a == (1, -1, -1, 0, 1, 1, -1, 0, 0, 0, 0)
 
 
 def test_mul_matches_oracle(rng):
@@ -75,7 +51,7 @@ def test_mul_matches_oracle(rng):
         na, nb = rng.randint(0, 12), rng.randint(0, 12)
         a, b = random_series(rng, na), random_series(rng, nb)
         got = series_product(a, b)
-        assert list(got.coeffs) == conv_oracle(a.coeffs, b.coeffs, min(na, nb))
+        assert list(got) == conv_oracle(a, b, min(na, nb))
 
 
 def test_mul_commutative_associative(rng):
@@ -106,9 +82,9 @@ def test_mul_binomial_matches_series_mul(rng):
         a = random_series(rng, n)
         binom = [0] * (n + 1)
         binom[0], binom[k] = 1, -1
-        c = list(a.coeffs)
+        c = list(a)
         _mul_binomial_inplace(c, k)
-        assert TruncatedSeries(c) == series_product(a, TruncatedSeries(binom))
+        assert tuple(c) == series_product(a, tuple(binom))
 
 
 def test_div_binomial_polynomial_quotient():
@@ -123,27 +99,32 @@ def test_div_binomial_polynomial_quotient():
 def test_div_binomial_round_trip(rng):
     a = random_series(rng, 64)
     for k in (1, 2, 5, 7, 64):
-        c = list(a.coeffs)
+        c = list(a)
         _mul_binomial_inplace(c, k)
         _div_binomial_inplace(c, k)
-        assert c == list(a.coeffs)
+        assert c == list(a)
         _div_binomial_inplace(c, k)
         _mul_binomial_inplace(c, k)
-        assert c == list(a.coeffs)
+        assert c == list(a)
 
 
 def test_inverse_geometric():
-    a = TruncatedSeries([1, -1, 0, 0])
-    assert series_inverse(a).coeffs == (1, 1, 1, 1)
-    one = TruncatedSeries([1, 0, 0])
-    assert series_inverse(one).coeffs == (1, 0, 0)
+    a = (1, -1, 0, 0)
+    assert series_inverse(a) == (1, 1, 1, 1)
+    one = (1, 0, 0)
+    assert series_inverse(one) == (1, 0, 0)
 
 
 def test_inverse_requires_unit_constant():
     with pytest.raises(ValueError, match="non-unit constant term"):
-        series_inverse(TruncatedSeries([2, 1]))
+        series_inverse((2, 1))
     with pytest.raises(ValueError, match="non-unit constant term"):
-        series_inverse(TruncatedSeries([0, 1]))
+        series_inverse((0, 1))
+
+
+def test_inverse_rejects_empty():
+    with pytest.raises(ValueError, match="empty series"):
+        series_inverse(())
 
 
 def test_inverse_is_right_inverse(rng):
@@ -151,15 +132,14 @@ def test_inverse_is_right_inverse(rng):
         for _ in range(10):
             n = rng.randint(0, 40)
             coeffs = [lead] + [rng.randint(-9, 9) for _ in range(n)]
-            a = TruncatedSeries(coeffs)
-            prod = series_product(a, series_inverse(a))
-            assert prod.coeffs == (1,) + (0,) * n
+            prod = series_product(coeffs, series_inverse(coeffs))
+            assert prod == (1,) + (0,) * n
 
 
 def test_partial_product_edges():
-    assert partial_product(0, 5).coeffs == (1, 0, 0, 0, 0, 0)
-    assert partial_product(3, 10).coeffs == (1, -1, -1, 0, 1, 1, -1, 0, 0, 0, 0)
-    assert partial_product(12, 12).coeffs == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
+    assert partial_product(0, 5) == (1, 0, 0, 0, 0, 0)
+    assert partial_product(3, 10) == (1, -1, -1, 0, 1, 1, -1, 0, 0, 0, 0)
+    assert partial_product(12, 12) == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
 
 
 def test_partial_product_matches_repeated_mul(rng):
@@ -167,7 +147,7 @@ def test_partial_product_matches_repeated_mul(rng):
     expected = [1] + [0] * n
     for k in range(1, 7):
         _mul_binomial_inplace(expected, k)
-    assert partial_product(6, n).coeffs == tuple(expected)
+    assert partial_product(6, n) == tuple(expected)
 
 
 def ascending_product_oracle(factors, order):
@@ -192,27 +172,27 @@ def descending_product_oracle(factors, order):
     c[0] = 1
     for k in range(min(factors, order), 0, -1):
         _mul_binomial_inplace(c, k, zeros=k)
-    return TruncatedSeries(c)
+    return tuple(c)
 
 
 def test_partial_product_matches_ascending_oracle_grid():
     # includes order 0 and factors above the order
     for factors in range(41):
         for order in range(61):
-            assert partial_product(factors, order).coeffs == ascending_product_oracle(factors, order)
+            assert partial_product(factors, order) == ascending_product_oracle(factors, order)
 
 
 def test_partial_product_matches_ascending_oracle_square():
     # odd and even n, so both parities of the empty-tail boundary 2k >= n
     for n in [*range(41, 600, 13), 600]:
-        assert partial_product(n, n).coeffs == ascending_product_oracle(n, n)
+        assert partial_product(n, n) == ascending_product_oracle(n, n)
 
 
 def test_partial_product_matches_ascending_oracle_roots_shapes():
     # the (M, M(M+1)/2) products that root_multiplicities divides
     for m in range(31):
         order = m * (m + 1) // 2
-        assert partial_product(m, order).coeffs == ascending_product_oracle(m, order)
+        assert partial_product(m, order) == ascending_product_oracle(m, order)
 
 
 def test_partial_product_matches_descending_oracle_grid():
@@ -261,7 +241,7 @@ def test_binomial_kernel_zero_prefix_matches_full_pass(rng):
 
 def test_partial_product_coefficients_stay_small():
     s = partial_product(300, 300)
-    assert set(s.coeffs) <= {-1, 0, 1}
+    assert set(s) <= {-1, 0, 1}
 
 
 def test_json_round_trip(rng):
@@ -269,4 +249,4 @@ def test_json_round_trip(rng):
     obj = series_to_json(a)
     assert obj["order"] == 17
     assert all(isinstance(c, str) for c in obj["coeffs"])
-    assert TruncatedSeries(int(c) for c in obj["coeffs"]) == a
+    assert tuple(int(c) for c in obj["coeffs"]) == a
