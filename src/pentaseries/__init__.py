@@ -14,16 +14,15 @@ from .partitions import (
     partition_series,
     partition_values,
 )
-from .pentagonal import PentTerm, closed_form_series, gpent, pent_sign, pent_terms_upto
+from .pentagonal import closed_form_series, gpent, pent_sign, pent_terms_upto
 from .roots import root_multiplicities
-from .series import partial_product, series_inverse, series_to_json
-from .telescoping import Term, identity_exponents, residual_series, stream_series, verify_stage
+from .series import Term, partial_product, series_inverse, series_to_json
+from .telescoping import identity_exponents, residual_series, stream_series, verify_stage
 
 __all__ = [
     "BenchRecord",
     "CSV_HEADER",
     "PartitionTable",
-    "PentTerm",
     "Term",
     "closed_form_series",
     "gpent",

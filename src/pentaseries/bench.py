@@ -15,8 +15,6 @@ from typing import NamedTuple
 from .partitions import partition_series, partition_values
 from .series import partial_product
 
-CSV_HEADER = "task,n,wall_ns,max_coeff_bits"
-
 REPETITIONS = 5
 
 
@@ -25,6 +23,10 @@ class BenchRecord(NamedTuple):
     n: int
     wall_ns: int
     max_coeff_bits: int
+
+
+# the field order is the column order of both output formats
+CSV_HEADER = ",".join(BenchRecord._fields)
 
 
 # Each task returns the coefficient sequence it computed.
@@ -57,10 +59,7 @@ def run_bench(sizes: list[int]) -> list[BenchRecord]:
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(f"{r.task},{r.n},{r.wall_ns},{r.max_coeff_bits}")
-    return "\n".join(lines)
+    return "\n".join([CSV_HEADER, *(",".join(map(str, r)) for r in records)])
 
 
 def records_to_json_objs(records: list[BenchRecord]) -> list[dict]:

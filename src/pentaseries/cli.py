@@ -27,7 +27,7 @@ from .series import partial_product, series_to_json
 from .telescoping import identity_exponents, stream_series, verify_stage
 
 _EXPAND_ORDER = ("product", "method1", "method2", "closed")
-# The roots phase grows about as M^3.5: 2.0 s at M = 200, 8.9 s at 300 and
+# The roots phase grows about as M^3.5: 2.5 s at M = 200, 8.9 s at 300 and
 # 22 s at 400 on a 2-core VM, so the cap keeps a run under half a minute.
 _ROOTS_LIMIT = 400
 
@@ -167,8 +167,6 @@ def _positive(text: str) -> int:
 
 
 def _roots_count(text: str) -> int:
-    # root_multiplicities builds a degree M(M+1)/2 product in about M^3/2
-    # element updates
     value = _positive(text)
     if value > _ROOTS_LIMIT:
         raise argparse.ArgumentTypeError(f"must be <= {_ROOTS_LIMIT}")

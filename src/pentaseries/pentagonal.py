@@ -8,13 +8,7 @@ ascending order, so no sorting is ever needed.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-
-class PentTerm(NamedTuple):
-    k: int
-    exponent: int
-    sign: int
+from .series import Term
 
 
 def gpent(k: int) -> int:
@@ -27,16 +21,16 @@ def pent_sign(k: int) -> int:
     return 1 if k % 2 == 0 else -1
 
 
-def pent_terms_upto(n: int) -> list[PentTerm]:
+def pent_terms_upto(n: int) -> list[Term]:
     """All terms with gpent(k) <= n, k != 0, in ascending exponent order."""
-    out: list[PentTerm] = []
+    out: list[Term] = []
     k = 1
     while True:
         for kk in (k, -k):
             e = gpent(kk)
             if e > n:
                 return out
-            out.append(PentTerm(kk, e, pent_sign(kk)))
+            out.append(Term(pent_sign(kk), e))
         k += 1
 
 

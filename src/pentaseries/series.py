@@ -10,18 +10,22 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
+from typing import NamedTuple
 
 
-def _mul_binomial_inplace(c: list[int], k: int, zeros: int = 0) -> None:
-    # c[i] -= c[i-k] for i >= k, given the precondition c[1..zeros] == 0.
-    # Those zeros leave c[k+1..k+zeros] as they are, so the pass is the
-    # scalar update of c[k] plus the dense tail from k + zeros + 1.  The slice
-    # assignment reads its whole map before it lands, and the tail runs first
-    # because with zeros < k it reads the old c[k].
+class Term(NamedTuple):
+    """One signed term sign * x^exponent of a sparse series."""
+
+    sign: int
+    exponent: int
+
+
+def _mul_binomial_inplace(c: list[int], k: int) -> None:
+    # c[i] -= c[i-k] for i >= k; both slices are copies, so every
+    # subtrahend is an old entry.
     n = len(c)
     if k < n:
-        c[k + zeros + 1 :] = map(operator.sub, c[k + zeros + 1 :], c[zeros + 1 : n - k])
-        c[k] -= c[0]
+        c[k:] = map(operator.sub, c[k:], c[: n - k])
 
 
 def _div_binomial_inplace(c: list[int], k: int) -> None:
@@ -87,8 +91,7 @@ def partial_product(factors: int, order: int) -> tuple[int, ...]:
     del c[order + 1 - levels * (levels + 1) // 2 :]
     c[0] = -1 if levels % 2 else 1
     for j in range(levels, 0, -1):
-        # the previous level's prepend left c[1..j] zero
-        _mul_binomial_inplace(c, factors - j + 1, zeros=j)
+        _mul_binomial_inplace(c, factors - j + 1)
         _div_binomial_inplace(c, j)
         c[:0] = [1 if j % 2 else -1] + [0] * (j - 1)
     return tuple(c)

@@ -32,17 +32,11 @@ from __future__ import annotations
 import operator
 import sys
 from functools import lru_cache
-from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
-from .series import _div_binomial_inplace
+from .series import Term, _div_binomial_inplace
 
 _METHODS = ("method1", "method2")
-
-
-class Term(NamedTuple):
-    sign: int
-    exponent: int
 
 
 def _check_method(method: str) -> None:
@@ -77,11 +71,6 @@ def _stages(method: str) -> Iterator[tuple[int, int, int, int]]:
         yield m, t - 2 * m, t - m, t
         t += 3 * (m + 1)
         m += 1
-
-
-def _stage(method: str, m: int) -> tuple[int, int, int]:
-    """(low, high, head) of stage m >= 1, read off the recurrence."""
-    return next(islice(_stages(method), m - 1, None))[1:]
 
 
 def _terms(method: str) -> Iterator[Term]:
@@ -204,9 +193,13 @@ def residual_series(method: str, m: int, order: int) -> tuple[int, ...]:
     # every head exceeds 2m - 1, so stage m >= order is zero without a walk
     if m >= order:
         return tuple(acc)
-    _, _, head = _stage(method, m)
-    if head > order:
-        return tuple(acc)
+    # the heads ascend, so the walk stops at the first head above the order,
+    # after at most about sqrt(2 * order / 3) stages
+    for stage, _, _, head in _stages(method):
+        if head > order:
+            return tuple(acc)
+        if stage == m:
+            break
 
     if method == "method1":
         # V_m is empty when the order ends inside the prepended 1 and zeros;

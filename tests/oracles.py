@@ -1,10 +1,13 @@
 """Reference routines that only the tests call: a partition count from a
 different algorithm family, the one-entry-at-a-time partition table fill,
-Euler's totient for the degree bookkeeping of the root multiplicities, and
-the log-log fit of the benchmark report."""
+Euler's totient for the degree bookkeeping of the root multiplicities, one
+stage of the telescoping recurrences, and the log-log fit of the benchmark
+report."""
 
 import math
+from itertools import islice
 
+from pentaseries import telescoping
 from pentaseries.pentagonal import pent_terms_upto
 from pentaseries.roots import _prime_factors
 
@@ -59,6 +62,11 @@ def totient(n):
     for prime in _prime_factors(n):
         result -= result // prime
     return result
+
+
+def stage_of(method, m):
+    """(low, high, head) of stage m >= 1, read off the recurrence."""
+    return next(islice(telescoping._stages(method), m - 1, None))[1:]
 
 
 def fitted_exponent(records, task):

@@ -1,5 +1,5 @@
-"""The public API holds no name that only the tests use, and every series it
-returns is a plain tuple."""
+"""Every public name of the package is reachable from a user's entry point,
+and every series it returns is a plain tuple."""
 
 import ast
 from pathlib import Path
@@ -10,31 +10,125 @@ import pentaseries
 
 SRC = Path(pentaseries.__file__).resolve().parent
 
+# Where a user enters the package: the command line and the library entry
+# points that compute, count and check.
+ROOTS = {
+    ("cli", "main"),
+    ("series", "partial_product"),
+    ("partitions", "partition_values"),
+    ("telescoping", "verify_stage"),
+    ("roots", "root_multiplicities"),
+}
 
-def _names_used(tree):
-    """Names read as ast.Name or ast.Attribute, each outside its own def or class."""
-    used = set()
+# Public names that no root reaches, each with the reason it stays.
+UNREACHED = {
+    ("partitions", "PartitionTable.computed_upto"): (
+        "perfbench/tracer.py reads it to count each extension's new entries; "
+        "it goes once the tracer no longer reads it"
+    ),
+}
 
-    def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            inside = inside | {node.name}
+
+def _reads(*nodes):
+    """The names and the attribute names that the nodes' code reads;
+    annotations are not reads."""
+    names, attrs = set(), set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
         if isinstance(getattr(node, "ctx", None), ast.Load):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            if name is not None and name not in inside:
-                used.add(name)
-        for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                children = value if isinstance(value, list) else [value]
+                stack += [c for c in children if isinstance(c, ast.AST)]
+    return names, attrs
 
-    visit(tree, frozenset())
-    return used
 
+def _package():
+    """What each definition of the package reads, and each module's imports.
 
-def test_every_exported_name_has_a_caller_in_the_package():
-    used = set()
+    A definition is (module, name) for a top-level def, class or assignment,
+    and (module, "Class.name") for a def in a class body; a class's own reads
+    leave its defs out.  Other module-level code, such as the __main__ guard,
+    reads as the definition (module, None).
+    """
+    reads, imports = {}, {}
     for path in sorted(SRC.glob("*.py")):
-        if path.name != "__init__.py":
-            used |= _names_used(ast.parse(path.read_text(), str(path)))
-    assert sorted(set(pentaseries.__all__) - used) == []
+        module = path.stem
+        imports[module] = {}
+        entry = reads[module, None] = (set(), set())
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+                for alias in stmt.names:
+                    imports[module][alias.asname or alias.name] = (stmt.module, alias.name)
+            elif isinstance(stmt, ast.FunctionDef):
+                reads[module, stmt.name] = _reads(stmt)
+            elif isinstance(stmt, ast.ClassDef):
+                defs = [d for d in stmt.body if isinstance(d, ast.FunctionDef)]
+                body = [b for b in stmt.body if b not in defs]
+                reads[module, stmt.name] = _reads(*stmt.bases, *stmt.keywords, *stmt.decorator_list, *body)
+                for d in defs:
+                    reads[module, f"{stmt.name}.{d.name}"] = _reads(d)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                    reads[module, name.id] = _reads(stmt.value)
+            else:
+                for found, more in zip(entry, _reads(stmt)):
+                    found |= more
+    return reads, imports
+
+
+def _resolve(reads, imports, module, name):
+    """The definition that `name` is bound to in `module`, or None."""
+    while (module, name) not in reads:
+        if name not in imports.get(module, {}):
+            return None
+        module, name = imports[module][name]
+    return module, name
+
+
+def _reached(reads, imports):
+    """Every definition that a root or other module-level code reaches.
+
+    A read name follows its binding.  A read attribute `.x` reaches every
+    class member named x, whatever object it is read on, and a class reaches
+    its dunder members, which Python calls implicitly.
+    """
+    members = {}
+    for module, qualname in reads:
+        if qualname and "." in qualname:
+            members.setdefault(qualname.split(".")[1], []).append((module, qualname))
+    reached = set()
+    todo = [*ROOTS, *(key for key in reads if key[1] is None)]
+    while todo:
+        node = todo.pop()
+        if node in reached:
+            continue
+        reached.add(node)
+        module, qualname = node
+        names, attrs = reads[node]
+        todo += filter(None, (_resolve(reads, imports, module, name) for name in names))
+        todo += [d for attr in attrs for d in members.get(attr, ())]
+        todo += [key for key in reads if key[0] == module and (key[1] or "").startswith(f"{qualname}.__")]
+    return reached
+
+
+def test_every_public_name_is_reachable_from_a_root():
+    reads, imports = _package()
+    assert ROOTS <= set(reads)
+    exported = {_resolve(reads, imports, "__init__", name) for name in pentaseries.__all__}
+    assert None not in exported
+    public = {
+        (module, qualname)
+        for module, qualname in reads
+        if qualname and module != "__init__" and not any(p.startswith("_") for p in qualname.split("."))
+    }
+    assert sorted((exported | public) - _reached(reads, imports)) == sorted(UNREACHED)
 
 
 # Every series producer, as a function of the order alone.

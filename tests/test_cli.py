@@ -9,7 +9,9 @@ import pytest
 from pentaseries import bench, cli
 from pentaseries.cli import canonical_json, format_series, main
 from pentaseries.partitions import partition_series
-from pentaseries.telescoping import _stage, verify_stage
+from pentaseries.telescoping import verify_stage
+
+from oracles import stage_of
 
 
 def run_cli(capsys, *argv):
@@ -153,8 +155,8 @@ def test_verify_order_too_small(capsys):
 def test_stage_order_boundary_agrees_with_verify_stage(capsys, depth):
     # method 2's stage-m identity carries stage m+1's emissions
     needs = {
-        "method1": _stage("method1", depth)[1],
-        "method2": _stage("method2", depth + 1)[1],
+        "method1": stage_of("method1", depth)[1],
+        "method2": stage_of("method2", depth + 1)[1],
     }
     for method, need in needs.items():
         with pytest.raises(ValueError, match="order below stage emissions"):

@@ -207,6 +207,19 @@ def test_uneven_extensions_match_one_call():
         assert table.values == oracle[: n + 1]
 
 
+def test_ramanujan_congruences_over_the_whole_table():
+    # p(5k+4) = 0 mod 5, p(7k+5) = 0 mod 7 and p(11k+6) = 0 mod 11 (Ramanujan,
+    # "Some properties of p(n)", 1919) hold at every n and share no code with
+    # the two-lane fill, so they check every entry far past the n = 3001
+    # oracles, across all of the fill's lane-width rebuilds up to 20000
+    values = partition_values(20000)
+    assert len(values) == 20001
+    for modulus, residue in ((5, 4), (7, 5), (11, 6)):
+        checked = values[residue::modulus]
+        assert len(checked) == (20000 - residue) // modulus + 1
+        assert all(p % modulus == 0 for p in checked), modulus
+
+
 def test_big_value_exceeds_machine_words():
     assert partition_count(500) == 2300165032574323995027
     assert partition_count(500).bit_length() > 64

@@ -6,7 +6,7 @@ from pentaseries.pentagonal import (
     pent_sign,
     pent_terms_upto,
 )
-from pentaseries.series import partial_product
+from pentaseries.series import Term, partial_product
 
 
 @pytest.mark.parametrize(
@@ -28,7 +28,7 @@ def test_terms_empty_below_first_exponent():
 def test_terms_up_to_seven():
     terms = pent_terms_upto(7)
     assert [(t.exponent, t.sign) for t in terms] == [(1, -1), (2, -1), (5, 1), (7, 1)]
-    assert [t.k for t in terms] == [1, -1, 2, -2]
+    assert terms == [Term(-1, 1), Term(-1, 2), Term(1, 5), Term(1, 7)]
 
 
 def test_terms_up_to_fifty_one():

@@ -162,8 +162,8 @@ def ascending_product_oracle(factors, order):
 
 
 def descending_product_oracle(factors, order):
-    """The largest-first loop that ran one binomial pass per factor, kept
-    verbatim as the oracle of the expansion grouped by contributing factors."""
+    """The largest-first loop that ran one binomial pass per factor, kept as
+    the oracle of the expansion grouped by contributing factors."""
     if factors < 0:
         raise ValueError("negative factor count")
     if order < 0:
@@ -171,7 +171,7 @@ def descending_product_oracle(factors, order):
     c = [0] * (order + 1)
     c[0] = 1
     for k in range(min(factors, order), 0, -1):
-        _mul_binomial_inplace(c, k, zeros=k)
+        _mul_binomial_inplace(c, k)
     return tuple(c)
 
 
@@ -227,6 +227,7 @@ def test_binomial_kernel_zero_prefix_matches_full_pass(rng):
         k = rng.randint(1, size + 2)
         zeros = rng.randint(0, size + 2)
         c = [rng.randint(-(10**40), 10**40) for _ in range(size)]
+        # the zero prefix c[1..j] that partial_product's levels pass in
         c[1 : zeros + 1] = [0] * len(c[1 : zeros + 1])
         full = list(c)
         _mul_binomial_inplace(full, k)
@@ -234,9 +235,6 @@ def test_binomial_kernel_zero_prefix_matches_full_pass(rng):
             assert full[k:] == [hi - lo for hi, lo in zip(c[k:], c)]
         else:
             assert full == c
-        skipped = list(c)
-        _mul_binomial_inplace(skipped, k, zeros)
-        assert skipped == full
 
 
 def test_partial_product_coefficients_stay_small():

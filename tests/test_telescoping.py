@@ -8,20 +8,19 @@ import pytest
 from pentaseries import telescoping
 from pentaseries.pentagonal import closed_form_series, pent_terms_upto
 from pentaseries.series import (
+    Term,
     _div_binomial_inplace,
     _mul_binomial_inplace,
     partial_product,
 )
 from pentaseries.telescoping import (
-    Term,
-    _stage,
     identity_exponents,
     residual_series,
     stream_series,
     verify_stage,
 )
 
-from oracles import fitted_exponent
+from oracles import fitted_exponent, stage_of
 
 
 def residual_oracle(method, m, order):
@@ -66,7 +65,7 @@ def residual_oracle(method, m, order):
 def summation_residual_oracle(method, m, order):
     """The summand-by-summand loop that residual_series' nested form replaced,
     kept verbatim as its oracle: two list passes per summand."""
-    _, _, head = _stage(method, m)
+    _, _, head = stage_of(method, m)
     if order < 0:
         raise ValueError("negative order")
 
@@ -98,9 +97,9 @@ def summation_residual_oracle(method, m, order):
 
 
 def horner_residual_oracle(method, m, order):
-    """The nested form that ran each method's whole nest on its own, kept
-    verbatim as the oracle of the shared nested sum."""
-    _, _, head = _stage(method, m)
+    """The nested form that ran each method's whole nest on its own, kept as
+    the oracle of the shared nested sum."""
+    _, _, head = stage_of(method, m)
     if order < 0:
         raise ValueError("negative order")
     # allocated first, so an order too large for memory fails before any level
@@ -116,9 +115,9 @@ def horner_residual_oracle(method, m, order):
     u = pad[:1] + [0] * top
     for j in range(levels - 1, -1, -1):
         u[:0] = pad
-        _mul_binomial_inplace(u, m + j + extra, zeros=m - 1)
+        _mul_binomial_inplace(u, m + j + extra)
     if extra:
-        _mul_binomial_inplace(u, m, zeros=m - 1)
+        _mul_binomial_inplace(u, m)
         u[0] += 1
     acc[head:] = u
     return tuple(acc)
@@ -126,7 +125,7 @@ def horner_residual_oracle(method, m, order):
 
 def nested_sum_oracle(m, length):
     """W_m mod x^length by W_m's own Horner nest, one level per summand,
-    kept verbatim as the oracle of the grouped V_m = (1 - x^m) W_m."""
+    kept as the oracle of the grouped V_m = (1 - x^m) W_m."""
     if length < 1:
         return ()
     pad = [1] + [0] * (m - 1)
@@ -134,7 +133,7 @@ def nested_sum_oracle(m, length):
     u = pad[:1] + [0] * top
     for j in range(levels - 1, -1, -1):
         u[:0] = pad
-        _mul_binomial_inplace(u, m + j + 1, zeros=m - 1)
+        _mul_binomial_inplace(u, m + j + 1)
     return tuple(u)
 
 
@@ -178,11 +177,11 @@ def test_stage_heads_and_anchors():
 
 
 def test_stage_emissions_pairs():
-    assert _stage("method1", 1)[:2] == (2, 5)
-    assert _stage("method1", 2)[:2] == (7, 12)
-    assert _stage("method2", 1)[:2] == (1, 2)
-    assert _stage("method2", 2)[:2] == (5, 7)
-    assert _stage("method2", 3)[:2] == (12, 15)
+    assert stage_of("method1", 1)[:2] == (2, 5)
+    assert stage_of("method1", 2)[:2] == (7, 12)
+    assert stage_of("method2", 1)[:2] == (1, 2)
+    assert stage_of("method2", 2)[:2] == (5, 7)
+    assert stage_of("method2", 3)[:2] == (12, 15)
 
 
 def test_exponents_strictly_increase():
@@ -199,7 +198,7 @@ def test_streams_agree_sorted():
 
 def test_streams_match_pentagonal_enumeration():
     stream = first_terms("method1", 81)
-    reference = [Term(1, 0)] + [Term(t.sign, t.exponent) for t in pent_terms_upto(10**6)][:80]
+    reference = [Term(1, 0)] + pent_terms_upto(10**6)[:80]
     assert stream == reference
 
 
@@ -367,7 +366,7 @@ def test_residual_matches_summation_oracle_every_order(method):
 @pytest.mark.parametrize("method", ["method1", "method2"])
 def test_residual_matches_summation_oracle_edge_orders(method):
     for m in (1, 2, 3, 7, 14, 20):
-        _, _, head = _stage(method, m)
+        _, _, head = stage_of(method, m)
         orders = {
             head - 1,  # head above the order: the zero series
             head,  # order == head
@@ -462,3 +461,24 @@ def test_residual_at_or_above_order_is_zero_without_walking(monkeypatch, method,
         residual_series(method, 0, 5)
     with pytest.raises(ValueError, match="negative order"):
         residual_series(method, m, -1)
+
+
+@pytest.mark.parametrize("method", ["method1", "method2"])
+def test_residual_walk_stops_at_first_head_above_order(monkeypatch, method):
+    walked = []
+    stages = telescoping._stages
+
+    def counted(method):
+        for stage in stages(method):
+            walked.append(stage)
+            yield stage
+
+    monkeypatch.setattr(telescoping, "_stages", counted)
+    residual_series.cache_clear()
+    order = 10**5
+    # stage order - 1 is below the order, but its head is far above it
+    assert residual_series(method, order - 1, order) == (0,) * (order + 1)
+    # about sqrt(2 * order / 3) = 258 stages instead of order - 1
+    *below, (_, _, _, head) = walked
+    assert len(walked) < 300
+    assert head > order and all(h <= order for _, _, _, h in below)
