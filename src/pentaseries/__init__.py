@@ -6,7 +6,7 @@ resulting recurrence, iterated exact division, and algebraic root-of-unity
 multiplicity checks.  All arithmetic is exact integers.
 """
 
-from .bench import CSV_HEADER, BenchRecord, records_to_csv, records_to_json_objs, run_bench
+from .bench import BenchRecord, run_bench
 from .partitions import (
     PartitionTable,
     iterated_division_check,
@@ -16,12 +16,11 @@ from .partitions import (
 )
 from .pentagonal import closed_form_series, gpent, pent_sign, pent_terms_upto
 from .roots import root_multiplicities
-from .series import Term, partial_product, series_inverse, series_to_json
+from .series import Term, partial_product, series_inverse
 from .telescoping import identity_exponents, residual_series, stream_series, verify_stage
 
 __all__ = [
     "BenchRecord",
-    "CSV_HEADER",
     "PartitionTable",
     "Term",
     "closed_form_series",
@@ -34,13 +33,10 @@ __all__ = [
     "partition_values",
     "pent_sign",
     "pent_terms_upto",
-    "records_to_csv",
-    "records_to_json_objs",
     "residual_series",
     "root_multiplicities",
     "run_bench",
     "series_inverse",
-    "series_to_json",
     "stream_series",
     "verify_stage",
 ]

@@ -4,7 +4,8 @@ Reporting only: nothing here passes or fails.  Each task runs once as a
 discarded warm-up and then five times on the monotonic clock; the recorded
 wall time is the median.  The peak coefficient bit-length is reported
 alongside because the two partition routes are big-integer algorithms and
-their operand sizes grow with n.
+their operand sizes grow with n.  The command line prints the records as
+CSV or JSON.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ class BenchRecord(NamedTuple):
     n: int
     wall_ns: int
     max_coeff_bits: int
-
-
-# the field order is the column order of both output formats
-CSV_HEADER = ",".join(BenchRecord._fields)
 
 
 # Each task returns the coefficient sequence it computed.
@@ -56,12 +53,3 @@ def run_bench(sizes: list[int]) -> list[BenchRecord]:
             # REPETITIONS is odd, so the median is the middle sample
             records.append(BenchRecord(name, n, sorted(times)[REPETITIONS // 2], _peak_bits(result)))
     return records
-
-
-def records_to_csv(records: list[BenchRecord]) -> str:
-    return "\n".join([CSV_HEADER, *(",".join(map(str, r)) for r in records)])
-
-
-def records_to_json_objs(records: list[BenchRecord]) -> list[dict]:
-    # _asdict keeps the field order, which is the canonical key order
-    return [r._asdict() for r in records]

@@ -19,11 +19,11 @@ import argparse
 import json
 import sys
 
-from .bench import records_to_csv, records_to_json_objs, run_bench
+from .bench import BenchRecord, run_bench
 from .partitions import iterated_division_check, partition_count, partition_values
 from .pentagonal import closed_form_series
 from .roots import root_multiplicities
-from .series import partial_product, series_to_json
+from .series import partial_product
 from .telescoping import identity_exponents, stream_series, verify_stage
 
 _EXPAND_ORDER = ("product", "method1", "method2", "closed")
@@ -34,6 +34,11 @@ _ROOTS_LIMIT = 400
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _series_json(s: tuple[int, ...]) -> dict:
+    """JSON form: coefficients as decimal strings so nothing can round."""
+    return {"order": len(s) - 1, "coeffs": [str(c) for c in s]}
 
 
 def format_series(s: tuple[int, ...]) -> str:
@@ -68,7 +73,7 @@ def cmd_expand(method: str, order: int, fmt: str) -> int:
     if method != "all":
         s = _build_series(method, order)
         if fmt == "json":
-            print(canonical_json(series_to_json(s)))
+            print(canonical_json(_series_json(s)))
         else:
             print(format_series(s))
         return 0
@@ -86,7 +91,7 @@ def cmd_expand(method: str, order: int, fmt: str) -> int:
             )
             print(f"{name}: first difference at x^{e}: product {want}, {name} {got}", file=sys.stderr)
     if fmt == "json":
-        payload = series_to_json(reference)
+        payload = _series_json(reference)
         payload["agree"] = verdicts
         print(canonical_json(payload))
     else:
@@ -142,10 +147,11 @@ def cmd_verify(depth: int, order: int, roots: int) -> int:
 
 def cmd_bench(sizes: tuple[int, ...], fmt: str) -> int:
     records = run_bench(list(sizes))
+    # the record's field order is the column order of both formats
     if fmt == "json":
-        print(canonical_json(records_to_json_objs(records)))
+        print(canonical_json([r._asdict() for r in records]))
     else:
-        print(records_to_csv(records))
+        print("\n".join([",".join(BenchRecord._fields), *(",".join(map(str, r)) for r in records)]))
     return 0
 
 

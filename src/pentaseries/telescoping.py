@@ -32,9 +32,10 @@ from __future__ import annotations
 import operator
 import sys
 from functools import lru_cache
+from itertools import count
 from typing import Iterator
 
-from .series import Term, _div_binomial_inplace
+from .series import Term, _alternating_nest
 
 _METHODS = ("method1", "method2")
 
@@ -141,28 +142,14 @@ def _nested_sum(m: int, length: int) -> tuple[int, ...]:
 
         V_m = sum over i >= 0 of (-1)^i x^(e_i) / ((1 - x^(m+1))...(1 - x^(m+i))),
 
-    with e_0 = 0, e_1 = m + 1 and e_i - e_(i-1) = 2m + i after that.  Only
-    the i with e_i < length reach the length, about sqrt(2 * length) of them
-    instead of the length / m levels of W_m's own nest.  The sum is evaluated
-    in nested form from the innermost such i outward: each level is one
-    prefix-divide pass by (1 - x^(m+i)) and one prepend.
+    with e_0 = 0, e_1 = m + 1 and e_i - e_(i-1) = 2m + i after that.  That is
+    the alternating nest (see series._alternating_nest) with levels
+    (e_i - e_(i-1), length, m + i): (1 - x^length) is 1 mod x^length, so each
+    level's multiply pass is empty.  Only the i with e_i < length reach the
+    length, about sqrt(2 * length) of them instead of the length / m levels
+    of W_m's own nest.
     """
-    if length < 1:
-        return ()
-    # gaps[i - 1] = e_i - e_(i-1) for each group i >= 1 with e_i < length,
-    # and e ends as the innermost group's e_i
-    gaps, e, gap = [], 0, m + 1
-    while e + gap < length:
-        gaps.append(gap)
-        e += gap
-        gap = 2 * m + len(gaps) + 1
-    # c holds the nest from group i inward times (-1)^i, so the alternating
-    # sign sits in each prepended constant and no pass negates
-    c = [-1 if len(gaps) % 2 else 1] + [0] * (length - e - 1)
-    for i in range(len(gaps), 0, -1):
-        _div_binomial_inplace(c, m + i)
-        c[:0] = [1 if i % 2 else -1] + [0] * (gaps[i - 1] - 1)
-    return tuple(c)
+    return _alternating_nest(length, ((2 * m + i if i > 1 else m + 1, length, m + i) for i in count(1)))
 
 
 @lru_cache(maxsize=256)

@@ -5,11 +5,14 @@ they happen.  Everything except the timing report in criterion 8 is an exact
 integer identity with zero tolerance.
 """
 
+import io
 import time
+from contextlib import redirect_stdout
 from itertools import islice
 
 from pentaseries import telescoping
-from pentaseries.bench import CSV_HEADER, records_to_csv, run_bench
+from pentaseries.bench import BenchRecord
+from pentaseries.cli import main
 from pentaseries.partitions import (
     iterated_division_check,
     partition_count,
@@ -146,12 +149,15 @@ def test_criterion_7_root_multiplicities():
 
 def test_criterion_8_performance_report():
     sizes = [2000, 4000, 8000]
-    records = run_bench(sizes)
-    csv_text = records_to_csv(records)
-    lines = csv_text.splitlines()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main(["bench", "--sizes", ",".join(map(str, sizes))])
+    lines = out.getvalue().splitlines()
+    records = [BenchRecord(t, int(n), int(w), int(b)) for t, n, w, b in (row.split(",") for row in lines[1:])]
 
     csv_complete = (
-        lines[0] == CSV_HEADER
+        # README's literal header
+        lines[0] == "task,n,wall_ns,max_coeff_bits"
         # one row per size for each of the three tasks fitted below
         and len(lines) == 1 + len(sizes) * 3
         and all(r.wall_ns > 0 for r in records)

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from pentaseries.partitions import (
     partition_series,
     partition_values,
 )
-from pentaseries.pentagonal import closed_form_series, gpent
+from pentaseries.pentagonal import closed_form_series, gpent, pent_terms_upto
 
 from oracles import partition_bruteforce, split_sign_fill
 from schoolbook import series_product
@@ -207,17 +208,35 @@ def test_uneven_extensions_match_one_call():
         assert table.values == oracle[: n + 1]
 
 
-def test_ramanujan_congruences_over_the_whole_table():
+@pytest.fixture(scope="module")
+def whole_table():
+    """p(0..20000), filled once for the checks that read every entry."""
+    return partition_values(20000)
+
+
+def test_ramanujan_congruences_over_the_whole_table(whole_table):
     # p(5k+4) = 0 mod 5, p(7k+5) = 0 mod 7 and p(11k+6) = 0 mod 11 (Ramanujan,
     # "Some properties of p(n)", 1919) hold at every n and share no code with
     # the two-lane fill, so they check every entry far past the n = 3001
     # oracles, across all of the fill's lane-width rebuilds up to 20000
-    values = partition_values(20000)
+    values = whole_table
     assert len(values) == 20001
     for modulus, residue in ((5, 4), (7, 5), (11, 6)):
         checked = values[residue::modulus]
         assert len(checked) == (20000 - residue) // modulus + 1
         assert all(p % modulus == 0 for p in checked), modulus
+
+
+def test_defining_identity_over_the_whole_table(whole_table):
+    # (1 + sum of s x^g over the pentagonal terms) times sum of p(n) x^n is 1,
+    # so p(n) + sum of s p(n-g) is [n = 0] at every n <= 20000.  One slice
+    # pass per offset: none of the fill's windows, lanes or cursors is used
+    p = whole_table
+    n = len(p) - 1
+    acc = list(p)
+    for sign, g in pent_terms_upto(n):
+        acc[g:] = map(operator.add if sign > 0 else operator.sub, acc[g:], p[: n + 1 - g])
+    assert acc == [1] + [0] * n
 
 
 def test_big_value_exceeds_machine_words():

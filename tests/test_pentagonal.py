@@ -72,3 +72,8 @@ def test_closed_form_small_orders():
 def test_closed_form_equals_product():
     for n in (0, 1, 17, 300):
         assert closed_form_series(n) == partial_product(n, n)
+
+
+def test_closed_form_equals_product_at_order_20000():
+    # ten times criterion 1's order: the product's nest runs 199 levels
+    assert closed_form_series(20000) == partial_product(20000, 20000)

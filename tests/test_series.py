@@ -1,14 +1,15 @@
 import pytest
 
+from pentaseries import cli
 from pentaseries.series import (
+    _alternating_nest,
     _div_binomial_inplace,
     _mul_binomial_inplace,
     partial_product,
     series_inverse,
-    series_to_json,
 )
 
-from schoolbook import series_product
+from schoolbook import schoolbook_product, series_product
 
 
 def conv_oracle(a, b, order):
@@ -221,6 +222,46 @@ def test_partial_product_matches_descending_oracle_edges(factors, order):
     assert partial_product(factors, order) == descending_product_oracle(factors, order)
 
 
+def nest_oracle(length, levels):
+    """The alternating nest with each group expanded on its own and summed:
+    (-1)^i x^(e_i) (1 - x^a_1)...(1 - x^a_i) times the geometric series of
+    each 1 / (1 - x^b_k), all by schoolbook products, for every e_i < length."""
+    total = [0] * length
+    e, group = 0, [1] + [0] * length
+    for i, (gap, a, b) in enumerate([(0, None, None), *levels]):
+        if i:
+            e += gap
+            binomial = [1] + [0] * (a - 1) + [-1]
+            geometric = [int(j % b == 0) for j in range(length)]
+            group = schoolbook_product(schoolbook_product(group, binomial, length), geometric, length)
+        if e >= length:
+            break
+        for j in range(length - e):
+            total[e + j] += (-1) ** i * group[j]
+    return tuple(total)
+
+
+def read_below(length, levels):
+    # the kernel may read the first level at or past the length, never one after it
+    e = 0
+    for level in levels:
+        yield level
+        e += level[0]
+        assert e < length, "read a level after the first one at or past the length"
+
+
+def test_alternating_nest_matches_groups_expanded_alone(rng):
+    for _ in range(400):
+        length = rng.randint(0, 60)
+        # gaps of 1 included, numerators both below and at or past the length
+        levels = [
+            (rng.choice((1, 1, 2, 3, 5, 8)), rng.randint(1, 2 * length + 2), rng.randint(1, 9))
+            for _ in range(rng.randint(0, 12))
+        ]
+        got = _alternating_nest(length, read_below(length, levels))
+        assert got == nest_oracle(length, levels), (length, levels)
+
+
 def test_binomial_kernel_zero_prefix_matches_full_pass(rng):
     for _ in range(400):
         size = rng.randint(1, 40)
@@ -244,7 +285,7 @@ def test_partial_product_coefficients_stay_small():
 
 def test_json_round_trip(rng):
     a = random_series(rng, 17, lo=-(10**30), hi=10**30)
-    obj = series_to_json(a)
+    obj = cli._series_json(a)
     assert obj["order"] == 17
     assert all(isinstance(c, str) for c in obj["coeffs"])
     assert tuple(int(c) for c in obj["coeffs"]) == a

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pentaseries import telescoping
+from pentaseries import series, telescoping
 from pentaseries.pentagonal import closed_form_series, pent_terms_upto
 from pentaseries.series import (
     Term,
@@ -395,7 +395,7 @@ def test_second_method_reuses_the_nested_sum(monkeypatch, m):
 
     residual_series.cache_clear()
     telescoping._nested_sum.cache_clear()
-    monkeypatch.setattr(telescoping, "_div_binomial_inplace", counting)
+    monkeypatch.setattr(series, "_div_binomial_inplace", counting)
     first = residual_series("method1", m, 200)
     assert len(passes) >= 1
     passes.clear()
@@ -432,7 +432,7 @@ def test_nested_sum_work_grows_below_quadratic(monkeypatch):
         updates[-1] += max(0, len(c) - k)
         _div_binomial_inplace(c, k)
 
-    monkeypatch.setattr(telescoping, "_div_binomial_inplace", counting)
+    monkeypatch.setattr(series, "_div_binomial_inplace", counting)
     records = []
     for length in (250, 500, 1000, 2000, 4000):
         telescoping._nested_sum.cache_clear()
