@@ -5,18 +5,21 @@
     pentaseries verify    --depth D --order N [--roots M]   (M <= 400)
     pentaseries bench     --sizes 2000,4000,8000 [--format csv|json]
 
+Options take `--opt value` or `--opt=value`, in any order; a repeated option
+keeps its last value.  A prefix of an option name is not accepted.
+
 Exit codes: 0 success (all checks pass), 1 mathematical mismatch, 2 usage or
 precondition error, including an input too large for memory or for the
-platform's index range.  On a mismatch, `expand --method all` names the first
-differing exponent of each disagreeing method on stderr.  JSON is emitted
-canonically (fixed key order, no spaces, coefficients as decimal strings), so
-re-serializing a parsed payload gives back the same bytes.
+platform's index range, and a failed write of the output.  On a mismatch,
+`expand --method all` names the first differing exponent of each disagreeing
+method on stderr.  JSON is emitted canonically (fixed key order, no spaces,
+coefficients as decimal strings), so re-serializing a parsed payload gives
+back the same bytes.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
+import os
 import sys
 
 from .bench import BenchRecord, run_bench
@@ -32,8 +35,32 @@ _EXPAND_ORDER = ("product", "method1", "method2", "closed")
 _ROOTS_LIMIT = 400
 
 
+def _plain(s: str) -> str:
+    """s itself, if JSON writes it unescaped: printable ASCII without '"' or '\\'."""
+    if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
+        raise ValueError(f"string needs JSON escaping: {s!r}")
+    return s
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+    """The bytes of json.dumps(obj, separators=(",", ":")) for what the CLI
+    emits: dicts with string keys, lists, ints, bools, and strings that need
+    no escaping (ValueError for any other string)."""
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return f'"{_plain(obj)}"'
+    if isinstance(obj, dict):
+        return "{" + ",".join(f'"{_plain(k)}":{canonical_json(v)}' for k, v in obj.items()) + "}"
+    if isinstance(obj, list):
+        if all(isinstance(x, str) for x in obj):
+            # one check over the joined text instead of one call per coefficient
+            _plain("".join(obj))
+            return '["' + '","'.join(obj) + '"]' if obj else "[]"
+        return "[" + ",".join(map(canonical_json, obj)) + "]"
+    raise TypeError(f"not a CLI payload type: {type(obj).__name__}")
 
 
 def _series_json(s: tuple[int, ...]) -> dict:
@@ -159,23 +186,23 @@ def _nonneg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise ValueError(f"not an integer: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+        raise ValueError("must be >= 0")
     return value
 
 
 def _positive(text: str) -> int:
     value = _nonneg(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        raise ValueError("must be >= 1")
     return value
 
 
 def _roots_count(text: str) -> int:
     value = _positive(text)
     if value > _ROOTS_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be <= {_ROOTS_LIMIT}")
+        raise ValueError(f"must be <= {_ROOTS_LIMIT}")
     return value
 
 
@@ -183,72 +210,172 @@ def _size_list(text: str) -> tuple[int, ...]:
     try:
         sizes = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+        raise ValueError(f"not a comma-separated integer list: {text!r}") from None
     # the sizes are the x-axis of criterion 8's log-log fit, so each must be positive
     if not sizes or any(s < 1 for s in sizes):
-        raise argparse.ArgumentTypeError("sizes must be >= 1")
+        raise ValueError("sizes must be >= 1")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise argparse.ArgumentTypeError("sizes must be strictly increasing")
+        raise ValueError("sizes must be strictly increasing")
     return sizes
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pentaseries",
-        description="Expand (1-x)(1-x^2)(1-x^3)... exactly, by several methods that check each other.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choice(*choices: str):
+    def check(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+        return text
 
-    p_expand = sub.add_parser("expand", help="compute the expansion to a given order")
-    p_expand.add_argument("--method", required=True, choices=_EXPAND_ORDER + ("all",))
-    p_expand.add_argument("--order", required=True, type=_nonneg)
-    p_expand.add_argument("--format", default="text", choices=("text", "json"))
+    return check
 
-    p_part = sub.add_parser("partition", help="partition counts from the expansion")
-    which = p_part.add_mutually_exclusive_group(required=True)
-    which.add_argument("--upto", type=_nonneg, help="print p(0)..p(N)")
-    which.add_argument("--n", type=_nonneg, help="print p(N) only")
-    p_part.add_argument("--format", default="text", choices=("text", "json"))
 
-    p_verify = sub.add_parser("verify", help="stage identities, iterated division, root multiplicities")
-    p_verify.add_argument("--depth", required=True, type=_positive)
-    p_verify.add_argument("--order", required=True, type=_nonneg)
-    p_verify.add_argument("--roots", default=10, type=_roots_count)
+_REQUIRED = object()
+# Each command's options: option -> (validator, default), _REQUIRED marking a
+# required option.  A validator raises ValueError with the message's tail.
+_GRAMMAR = {
+    "expand": {
+        "--method": (_choice(*_EXPAND_ORDER, "all"), _REQUIRED),
+        "--order": (_nonneg, _REQUIRED),
+        "--format": (_choice("text", "json"), "text"),
+    },
+    "partition": {
+        "--upto": (_nonneg, None),
+        "--n": (_nonneg, None),
+        "--format": (_choice("text", "json"), "text"),
+    },
+    "verify": {
+        "--depth": (_positive, _REQUIRED),
+        "--order": (_nonneg, _REQUIRED),
+        "--roots": (_roots_count, 10),
+    },
+    "bench": {
+        "--sizes": (_size_list, _REQUIRED),
+        "--format": (_choice("csv", "json"), "csv"),
+    },
+}
+# options of which a command takes exactly one
+_ONE_OF = {"partition": ("--upto", "--n")}
+_HELP = ("-h", "--help")
 
-    p_bench = sub.add_parser("bench", help="time the product and partition routes")
-    p_bench.add_argument("--sizes", required=True, type=_size_list)
-    p_bench.add_argument("--format", default="csv", choices=("csv", "json"))
 
-    return parser
+class _UsageError(Exception):
+    """An argv outside the grammar; str() is the one line for stderr."""
+
+
+def _option_like(token: str) -> bool:
+    """Whether argparse reads the token as an option rather than as a value:
+    it starts with '-' and is not '-', a negative number or a string with a
+    space.  A final newline does not count, as `$` in argparse's pattern."""
+    if not token.startswith("-") or token == "-" or " " in token:
+        return False
+    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
+    if dot:
+        return not (frac.isdecimal() and (whole == "" or whole.isdecimal()))
+    return not whole.isdecimal()
+
+
+def _parse(argv: list[str]) -> tuple[str, dict] | None:
+    """(command, {option name without dashes: value}) for an argv in the
+    grammar, None when it asks for help; otherwise raises _UsageError with
+    the line argparse would end with.
+
+    Options take `--opt value` or `--opt=value` in any order, and a repeated
+    option keeps its last value.  Checks run as argparse runs them: each
+    value as it is read, then the required options, then the unrecognized
+    arguments.  Unlike argparse, a prefix of an option is not accepted.
+    """
+    if not argv:
+        raise _UsageError("pentaseries: error: the following arguments are required: command")
+    command, *rest = argv
+    if command in _HELP:
+        return None
+    if command not in _GRAMMAR:
+        choices = ", ".join(map(repr, _GRAMMAR))
+        raise _UsageError(
+            f"pentaseries: error: argument command: invalid choice: {command!r} (choose from {choices})"
+        )
+    prog = f"pentaseries {command}"
+    grammar = _GRAMMAR[command]
+    group = _ONE_OF.get(command, ())
+    values: dict[str, object] = {}
+    extras: list[str] = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            return None
+        if token in grammar:
+            name, text = token, next(tokens, None)
+            if text is None or _option_like(text):
+                raise _UsageError(f"{prog}: error: argument {name}: expected one argument")
+        else:
+            name, eq, text = token.partition("=")
+            if not (eq and name in grammar):
+                extras.append(token)
+                continue
+        try:
+            values[name] = grammar[name][0](text)
+        except ValueError as exc:
+            raise _UsageError(f"{prog}: error: argument {name}: {exc}") from None
+        if name in group:
+            for other in group:
+                if other != name and other in values:
+                    raise _UsageError(f"{prog}: error: argument {name}: not allowed with argument {other}")
+    missing = [name for name, (_, default) in grammar.items() if default is _REQUIRED and name not in values]
+    if missing:
+        raise _UsageError(f"{prog}: error: the following arguments are required: {', '.join(missing)}")
+    if group and not any(name in values for name in group):
+        raise _UsageError(f"{prog}: error: one of the arguments {' '.join(group)} is required")
+    if extras:
+        shown = " ".join(t if t.isprintable() else repr(t) for t in extras)
+        raise _UsageError(f"pentaseries: error: unrecognized arguments: {shown}")
+    return command, {name[2:]: values.get(name, default) for name, (_, default) in grammar.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command line and return its exit code; never exits the process."""
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if parsed is None:
+        print((__doc__ or "").partition("\n\n")[2], end="")
+        return 0
+    command, opts = parsed
 
     try:
-        if ns.command == "expand":
-            return cmd_expand(ns.method, ns.order, ns.format)
-        if ns.command == "partition":
-            return cmd_partition(ns.n, ns.upto, ns.format)
-        if ns.command == "verify":
-            return cmd_verify(ns.depth, ns.order, ns.roots)
-        return cmd_bench(ns.sizes, ns.format)
+        if command == "expand":
+            return cmd_expand(opts["method"], opts["order"], opts["format"])
+        if command == "partition":
+            return cmd_partition(opts["n"], opts["upto"], opts["format"])
+        if command == "verify":
+            return cmd_verify(opts["depth"], opts["order"], opts["roots"])
+        return cmd_bench(opts["sizes"], opts["format"])
     except MemoryError:
         # a resource failure is a precondition error, never a mismatch (1)
-        print(f"out of memory: {ns.command} input too large", file=sys.stderr)
+        print(f"out of memory: {command} input too large", file=sys.stderr)
         return 2
     except OverflowError:
         # a size past the platform's index range fails before any allocation
-        print(f"input too large: {ns.command} size exceeds the index range", file=sys.stderr)
+        print(f"input too large: {command} size exceeds the index range", file=sys.stderr)
         return 2
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Console entry point: main(), then a flush of both streams and an exit
+    that skips interpreter teardown, which holds nothing this process needs
+    (no threads, atexit handlers or open files besides the two streams)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        # a failed write (closed pipe, full disk) exits 2, never 1, which means a mismatch
+        code = 2
+        try:
+            print(f"pentaseries: error: output failed: {exc.strerror or exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass  # stderr failed too: the exit code is all that is left to report
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
 """Reference routines that only the tests call: a partition count from a
 different algorithm family, the one-entry-at-a-time partition table fill,
 Euler's totient for the degree bookkeeping of the root multiplicities, one
-stage of the telescoping recurrences, and the log-log fit of the benchmark
-report."""
+stage of the telescoping recurrences, the log-log fit of the benchmark
+report, and the argparse parser the command line was once read with."""
 
+import argparse
 import math
 from itertools import islice
 
 from pentaseries import telescoping
+from pentaseries.cli import _EXPAND_ORDER, _ROOTS_LIMIT
 from pentaseries.pentagonal import pent_terms_upto
 from pentaseries.roots import _prime_factors
 
@@ -82,3 +84,71 @@ def fitted_exponent(records, task):
     num = sum((x - mean_x) * (y - mean_y) for x, y in points)
     den = sum((x - mean_x) ** 2 for x, _ in points)
     return num / den
+
+
+def _nonneg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
+def _positive(text: str) -> int:
+    value = _nonneg(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _roots_count(text: str) -> int:
+    value = _positive(text)
+    if value > _ROOTS_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be <= {_ROOTS_LIMIT}")
+    return value
+
+
+def _size_list(text: str) -> tuple[int, ...]:
+    try:
+        sizes = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+    # the sizes are the x-axis of criterion 8's log-log fit, so each must be positive
+    if not sizes or any(s < 1 for s in sizes):
+        raise argparse.ArgumentTypeError("sizes must be >= 1")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError("sizes must be strictly increasing")
+    return sizes
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse parser that the CLI's table-driven one replaced."""
+    parser = argparse.ArgumentParser(
+        prog="pentaseries",
+        description="Expand (1-x)(1-x^2)(1-x^3)... exactly, by several methods that check each other.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_expand = sub.add_parser("expand", help="compute the expansion to a given order")
+    p_expand.add_argument("--method", required=True, choices=_EXPAND_ORDER + ("all",))
+    p_expand.add_argument("--order", required=True, type=_nonneg)
+    p_expand.add_argument("--format", default="text", choices=("text", "json"))
+
+    p_part = sub.add_parser("partition", help="partition counts from the expansion")
+    which = p_part.add_mutually_exclusive_group(required=True)
+    which.add_argument("--upto", type=_nonneg, help="print p(0)..p(N)")
+    which.add_argument("--n", type=_nonneg, help="print p(N) only")
+    p_part.add_argument("--format", default="text", choices=("text", "json"))
+
+    p_verify = sub.add_parser("verify", help="stage identities, iterated division, root multiplicities")
+    p_verify.add_argument("--depth", required=True, type=_positive)
+    p_verify.add_argument("--order", required=True, type=_nonneg)
+    p_verify.add_argument("--roots", default=10, type=_roots_count)
+
+    p_bench = sub.add_parser("bench", help="time the product and partition routes")
+    p_bench.add_argument("--sizes", required=True, type=_size_list)
+    p_bench.add_argument("--format", default="csv", choices=("csv", "json"))
+
+    return parser

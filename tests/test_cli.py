@@ -1,7 +1,10 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,7 @@ from pentaseries.cli import canonical_json, format_series, main
 from pentaseries.partitions import partition_series
 from pentaseries.telescoping import verify_stage
 
-from oracles import stage_of
+from oracles import argparse_oracle, stage_of
 
 
 def run_cli(capsys, *argv):
@@ -177,7 +180,7 @@ def test_verify_roots_above_limit_exits_2_before_any_build(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--depth", "1", "--order", "10", "--roots", "401")
     assert code == 2
     assert out == ""
-    # argparse writes its usage line, then the one error line
+    # the one error line, in the form argparse wrote after its usage line
     assert [line for line in err.splitlines() if "error" in line] == [
         "pentaseries verify: error: argument --roots: must be <= 400"
     ]
@@ -196,14 +199,17 @@ def test_verify_roots_at_limit_is_accepted(capsys, monkeypatch):
     assert started.value.args == (400,)
 
 
-def run_cli_subprocess(*argv):
+def cli_env():
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    return dict(os.environ, PYTHONPATH=str(src))
+
+
+def run_cli_subprocess(*argv):
     return subprocess.run(
         [sys.executable, "-m", "pentaseries.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(),
         timeout=30,
     )
 
@@ -372,15 +378,13 @@ def test_expand_all_mismatch_names_first_difference(capsys, monkeypatch):
 
 
 def test_cli_import_skips_unused_stdlib_modules():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    unused = ("dataclasses", "inspect", "statistics")
+    unused = ("argparse", "dataclasses", "inspect", "json", "statistics")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import pentaseries.cli, sys; print([m for m in {unused!r} if m in sys.modules])"],
         capture_output=True,
         text=True,
-        env=env,
+        env=cli_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -394,3 +398,197 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "77"
+
+
+# Option values for the command-line fuzz, (mostly valid, invalid): the caps
+# and the index range at and around their edges, and text int() bends or rejects.
+INT_TEXTS = (
+    ["0", "1", "2", "7", "399", "400", "401", str(2**63 - 1), str(2**63), str(2**63 + 1),
+     " 7 ", "1_000", "+3", "-0", "-0\n"],
+    ["-1", "-5", "-1.5", "1.5", "abc", "", "0x10"],
+)
+VALUES = {
+    "--method": (["product", "method1", "method2", "closed", "all"], ["newton", "ALL", ""]),
+    "--format": (["text", "json", "csv"], ["xml", ""]),
+    "--order": INT_TEXTS,
+    "--depth": INT_TEXTS,
+    "--roots": INT_TEXTS,
+    "--upto": INT_TEXTS,
+    "--n": INT_TEXTS,
+    "--sizes": (["50", "50,100", "2000,4000,8000"], ["100,50", "10,10", "0", "0,50", "-1,2", "1,,2", "abc", ""]),
+}
+COMMAND_OPTIONS = {
+    "expand": ["--method", "--order", "--format"],
+    "partition": ["--upto", "--n", "--format"],
+    "verify": ["--depth", "--order", "--roots"],
+    "bench": ["--sizes", "--format"],
+}
+ABBREVIATIONS = {"--meth": "--method", "--ord": "--order", "--form": "--format", "--up": "--upto",
+                 "--dep": "--depth", "--ro": "--roots", "--si": "--sizes"}
+
+
+def fuzz_argv(rng):
+    """A seeded argv, mostly each option of one command once in a random
+    order, with some options dropped, repeated, borrowed from another command
+    or abbreviated, some values invalid, and now and then a stray token or a
+    final option without its value."""
+    if rng.random() < 0.04:
+        return [] if rng.random() < 0.5 else [rng.choice(["foo", "Expand", "-5"])]
+    command = rng.choice(list(COMMAND_OPTIONS))
+    options = list(COMMAND_OPTIONS[command])
+    if command == "partition" and rng.random() < 0.8:
+        options.remove(rng.choice(["--upto", "--n"]))
+    options = [o for o in options if rng.random() < 0.95]
+    options += rng.choices([*VALUES, *ABBREVIATIONS, *options], k=rng.choice([0, 0, 0, 0, 1, 2]))
+    rng.shuffle(options)
+    argv = [command]
+    for option in options:
+        good, bad = VALUES[ABBREVIATIONS.get(option, option)]
+        value = rng.choice(good if rng.random() < 0.9 else bad)
+        argv += [f"{option}={value}"] if rng.random() < 0.3 else [option, value]
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(1, len(argv) + 1), rng.choice(["stray", "--bogus", "-x", "-7"]))
+    if rng.random() < 0.05:
+        argv.append(rng.choice(COMMAND_OPTIONS[command]))
+    return argv
+
+
+def argparse_outcome(parser, argv):
+    """("ok", namespace dict) or ("exit", code, error text) from the oracle;
+    the error text is what follows the usage lines."""
+    err = io.StringIO()
+    try:
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            return "ok", vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        lines = err.getvalue().splitlines(keepends=True)
+        start = next(i for i, line in enumerate(lines) if line.startswith("pentaseries") and ": error: " in line)
+        return "exit", exc.code, "".join(lines[start:])
+
+
+def uses_abbreviation(argv):
+    return any(token.partition("=")[0] in ABBREVIATIONS for token in argv)
+
+
+def test_parser_agrees_with_argparse_oracle(capsys, rng):
+    parser = argparse_oracle()
+    outcomes = {"ok": 0, "exit": 0}
+    for _ in range(500):
+        argv = fuzz_argv(rng)
+        outcome = argparse_outcome(parser, argv)
+        outcomes[outcome[0]] += 1
+        if outcome[0] == "ok" and not uses_abbreviation(argv):
+            expected = dict(outcome[1])
+            assert cli._parse(argv) == (expected.pop("command"), expected), argv
+            continue
+        # every rejection, and every argv argparse took only by an abbreviation,
+        # exits 2 before any work, with one stderr line and nothing on stdout
+        assert outcome[0] == "ok" or outcome[1] == 2, argv
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), argv
+        # argparse's own text where it is one line; it splits a value with a
+        # line break over two, which the new parser writes as a repr
+        if outcome[0] == "exit" and not uses_abbreviation(argv) and outcome[2].count("\n") == 1:
+            assert err == outcome[2], argv
+    # both sides of the grammar are exercised
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_parser_forms_and_repeats():
+    expected = ("expand", {"method": "all", "order": 5, "format": "json"})
+    argvs = [
+        ["expand", "--method", "all", "--order", "5", "--format", "json"],
+        ["expand", "--format=json", "--order=5", "--method=all"],
+        ["expand", "--order", "9", "--method", "closed", "--order=5", "--method", "all", "--format", "json"],
+    ]
+    for argv in argvs:
+        assert cli._parse(argv) == expected
+    assert cli._parse(["partition", "--n=0"]) == ("partition", {"upto": None, "n": 0, "format": "text"})
+
+
+def test_unrecognized_argument_with_a_line_break_stays_one_line(capsys):
+    code, out, err = run_cli(capsys, "expand", "--method", "closed", "--order", "5", "a\nb")
+    assert (code, out) == (2, "")
+    assert err == "pentaseries: error: unrecognized arguments: 'a\\nb'\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["expand", "-h"], ["verify", "--depth", "1", "--help"]])
+def test_help_prints_the_synopsis(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == cli.__doc__.partition("\n\n")[2]
+    assert "pentaseries verify    --depth D --order N [--roots M]" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--method", "closed", "--order", "7", "--format", "json"],
+        ["expand", "--method", "all", "--order", "40", "--format", "json"],
+        ["partition", "--n", "10", "--format", "json"],
+        ["partition", "--upto", "30", "--format", "json"],
+        ["partition", "--upto", "0", "--format", "json"],
+        ["bench", "--sizes", "20,40", "--format", "json"],
+    ],
+    ids=["expand", "expand-all", "partition-n", "partition-upto", "partition-upto-0", "bench"],
+)
+def test_canonical_json_matches_json_dumps(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert canonical_json(payload) == json.dumps(payload, separators=(",", ":")) == out.rstrip("\n")
+
+
+def test_canonical_json_rejects_strings_that_need_escaping():
+    for text in ['a"b', "a\\b", "line\n", "tab\t", "\x7f", "é"]:
+        for obj in (text, [text], ["1", text], {text: 1}, {"k": text}):
+            with pytest.raises(ValueError, match="needs JSON escaping"):
+                canonical_json(obj)
+    assert canonical_json([]) == json.dumps([]) and canonical_json({}) == json.dumps({})
+
+
+def test_run_writes_every_byte_before_its_fast_exit(capsys):
+    # ~2 MB, far past any stream buffer, so a lost final flush would show
+    argv = ["partition", "--upto", "20000", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pentaseries.cli", *argv], capture_output=True, env=cli_env(), timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(proc.stdout) > 2_000_000
+    assert hashlib.sha256(proc.stdout).hexdigest() == hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_run_passes_usage_exit_code_through():
+    proc = run_cli_subprocess("expand", "--method", "closed")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "pentaseries expand: error: the following arguments are required: --order\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_disk_exits_2_with_one_line():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pentaseries.cli", "expand", "--method", "closed", "--order", "5"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=30,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "pentaseries: error: output failed: No space left on device\n"
+
+
+def test_pipe_closed_early_exits_2_with_one_line():
+    # ~2 MB into a pipe whose reader leaves after 10 bytes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pentaseries.cli", "partition", "--upto", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert head == "1 1 2 3 5 "
+    assert proc.returncode == 2
+    assert err == "pentaseries: error: output failed: Broken pipe\n"
