@@ -1,7 +1,9 @@
 """Every public name of the package is reachable from a user's entry point,
-and every series it returns is a plain tuple."""
+each route reaches no other route's results, and every series the package
+returns is a plain tuple."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ ROOTS = {
 # Public names that no root reaches, each with the reason it stays.
 UNREACHED = {
     ("partitions", "PartitionTable.computed_upto"): (
-        "perfbench/tracer.py reads it to count each extension's new entries; "
+        "perfbench/tracer.py reads it to count each fill's new entries; "
         "it goes once the tracer no longer reads it"
     ),
 }
@@ -92,8 +94,8 @@ def _resolve(reads, imports, module, name):
     return module, name
 
 
-def _reached(reads, imports):
-    """Every definition that a root or other module-level code reaches.
+def _reached(reads, imports, starts):
+    """Every definition that the start definitions reach.
 
     A read name follows its binding.  A read attribute `.x` reaches every
     class member named x, whatever object it is read on, and a class reaches
@@ -104,7 +106,7 @@ def _reached(reads, imports):
         if qualname and "." in qualname:
             members.setdefault(qualname.split(".")[1], []).append((module, qualname))
     reached = set()
-    todo = [*ROOTS, *(key for key in reads if key[1] is None)]
+    todo = list(starts)
     while todo:
         node = todo.pop()
         if node in reached:
@@ -128,7 +130,101 @@ def test_every_public_name_is_reachable_from_a_root():
         for module, qualname in reads
         if qualname and module != "__init__" and not any(p.startswith("_") for p in qualname.split("."))
     }
-    assert sorted((exported | public) - _reached(reads, imports)) == sorted(UNREACHED)
+    # module-level code, such as the __main__ guard, is a root too
+    starts = [*ROOTS, *(key for key in reads if key[1] is None)]
+    assert sorted((exported | public) - _reached(reads, imports, starts)) == sorted(UNREACHED)
+
+
+# The four expansions, and the checks built on them, may share arithmetic
+# kernels but never each other's results.  Each route is walked from its root
+# alone and must not reach what its row names: a whole module, or one
+# definition as "module.name".
+ROUTES = {
+    ("series", "partial_product"): {"pentagonal", "telescoping", "partitions"},
+    ("telescoping", "stream_series"): {
+        "pentagonal", "partitions", "series.partial_product", "series._alternating_nest",
+    },
+    ("pentagonal", "closed_form_series"): {
+        "telescoping", "partitions", "series.partial_product", "series._alternating_nest",
+    },
+    ("telescoping", "verify_stage"): {
+        "pentagonal", "partitions", "telescoping.stream_series", "series.partial_product",
+    },
+    ("roots", "root_multiplicities"): {"pentagonal", "telescoping", "partitions"},
+    ("partitions", "partition_values"): {
+        "series.series_inverse", "series.partial_product", "telescoping",
+    },
+    ("partitions", "partition_series"): {
+        "partitions._fill", "telescoping", "series.partial_product",
+    },
+}
+
+# Every definition that two or more routes reach, and why it may be shared.
+# A new shared definition fails the test below until it is added here.
+SHARED = {
+    ("series", "Term"): "the one sparse term type",
+    ("series", "_mul_binomial_inplace"): "a kernel: the multiply pass by (1 - x^k)",
+    ("series", "_div_binomial_inplace"): "a kernel: the prefix-divide pass by (1 - x^k)",
+    ("series", "_alternating_nest"): "a kernel: the q-binomial nest of the product and of V_m",
+    ("series", "partial_product"): "the polynomial whose roots the roots route counts",
+    ("telescoping", "_stages"): "the stage walk that the streams and the residuals both take",
+    ("telescoping", "_METHODS"): "the two method names, which both telescoping routes accept",
+    ("telescoping", "_check_method"): "the check of a method name against _METHODS",
+    ("pentagonal", "gpent"): "the pentagonal numbers, read through pent_terms_upto",
+    ("pentagonal", "pent_sign"): "the sign law, read through pent_terms_upto",
+    ("pentagonal", "pent_terms_upto"): "the recurrence's offsets, which are the paper's point",
+    ("pentagonal", "closed_form_series"): "the series that the inversion route inverts",
+}
+
+
+def _route_reach():
+    reads, imports = _package()
+    return {root: _reached(reads, imports, [root]) for root in ROUTES}
+
+
+@pytest.mark.parametrize("root", sorted(ROUTES), ids=".".join)
+def test_route_reaches_nothing_it_must_not(root):
+    reached = _route_reach()[root]
+    forbidden = ROUTES[root]
+    hits = {(m, q) for m, q in reached if m in forbidden or f"{m}.{q}" in forbidden}
+    assert not hits
+
+
+def test_routes_share_only_the_listed_definitions():
+    counts = Counter(node for reached in _route_reach().values() for node in reached)
+    assert sorted(node for node, n in counts.items() if n > 1) == sorted(SHARED)
+
+
+def _src_trees():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_import_is_at_module_level():
+    # the walk reads only module-level imports, so an import inside a
+    # function would hide what that function reaches
+    for module, tree in _src_trees().items():
+        top = {id(stmt) for stmt in tree.body}
+        nested = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+        assert not nested, module
+
+
+def test_no_module_object_is_imported():
+    # the walk cannot follow an attribute read on a module object, as after
+    # `from . import pentagonal` or `import pentaseries.pentagonal`
+    trees = _src_trees()
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level:
+                assert stmt.level == 1 and stmt.module in trees, (module, stmt.lineno)
+                assert not {alias.name for alias in stmt.names} & set(trees), (module, stmt.lineno)
+            elif isinstance(stmt, ast.ImportFrom):
+                assert stmt.module.split(".")[0] != "pentaseries", (module, stmt.lineno)
+            elif isinstance(stmt, ast.Import):
+                assert all(a.name.split(".")[0] != "pentaseries" for a in stmt.names), (module, stmt.lineno)
 
 
 # Every series producer, as a function of the order alone.

@@ -328,8 +328,8 @@ def test_index_sized_order_exits_2_not_mismatch(capsys, argv):
 
 
 def test_partition_huge_n_fails_fast():
-    # the table is reserved before the ~2.5e9 pentagonal offsets are built;
-    # the timeout turns a regression into a failure instead of a hang
+    # the fill allocates its entries before the ~2.5e9 pentagonal offsets are
+    # built; the timeout turns a regression into a failure instead of a hang
     proc = run_cli_subprocess("partition", "--n", INDEX_OVERFLOW)
     assert proc.returncode == 2
     assert proc.stdout == ""

@@ -190,16 +190,44 @@ def test_interrupted_extension_keeps_the_old_entries(monkeypatch):
     monkeypatch.setattr(partitions, "pent_terms_upto", interrupted)
     with pytest.raises(KeyboardInterrupt):
         table.extend_to(50)
-    # the entries reserved for 21..50 are gone again
+    # the fill builds a new list and the table takes it only once the fill
+    # returns, so an interrupted fill leaves the old entries as they were
     assert table.values == before
     monkeypatch.undo()
     table.extend_to(50)
     assert table.values == partition_values(50)
 
 
+def test_one_fill_per_call(monkeypatch):
+    fills = []
+    fill = partitions._fill
+
+    def spy(n):
+        fills.append(n)
+        return fill(n)
+
+    monkeypatch.setattr(partitions, "_fill", spy)
+    values = partition_values(40)
+    assert fills == [40]
+    assert partition_count(41) == 44583
+    assert fills == [40, 41]
+    table = PartitionTable()
+    table.extend_to(30)
+    assert fills == [40, 41, 30]
+    # an n the table already holds fills nothing
+    for n in (30, 29, 7, 0, -1):
+        table.extend_to(n)
+    assert table.count(12) == 77
+    assert fills == [40, 41, 30]
+    # a larger n refills from p(0), to what a fresh fill gives
+    table.extend_to(40)
+    assert fills == [40, 41, 30, 40]
+    assert table.values == values
+
+
 def test_uneven_extensions_match_one_call():
-    # later calls start with len(values) > 1, so the offset cursors must
-    # skip the offsets below the first new entry
+    # each later call refills the table from p(0), to the same entries that
+    # one call to its n gives
     oracle = per_term_recurrence(3000)
     table = PartitionTable()
     for n in (0, 1, 2, 7, 100, 101, 1500, 3000):
