@@ -29,7 +29,6 @@ from .roots import root_multiplicities
 from .series import partial_product
 from .telescoping import identity_exponents, stream_series, verify_stage
 
-_EXPAND_ORDER = ("product", "method1", "method2", "closed")
 # The roots phase grows about as M^3.5: 2.5 s at M = 200, 8.9 s at 300 and
 # 22 s at 400 on a 2-core VM, so the cap keeps a run under half a minute.
 _ROOTS_LIMIT = 400
@@ -88,26 +87,24 @@ def format_series(s: tuple[int, ...]) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _build_series(method: str, order: int) -> tuple[int, ...]:
-    if method == "product":
-        return partial_product(order, order)
-    if method == "closed":
-        return closed_form_series(order)
-    return stream_series(method, order)
+# The four expansions, the reference route first.  Each builder looks its
+# function up when it is called, so a rebinding of the module name (a test's
+# monkeypatch, the benchmark's tracer) is the function that runs.
+_EXPANSIONS = {
+    "product": lambda order: partial_product(order, order),
+    "method1": lambda order: stream_series("method1", order),
+    "method2": lambda order: stream_series("method2", order),
+    "closed": lambda order: closed_form_series(order),
+}
 
 
-def cmd_expand(method: str, order: int, fmt: str) -> int:
-    if method != "all":
-        s = _build_series(method, order)
-        if fmt == "json":
-            print(canonical_json(_series_json(s)))
-        else:
-            print(format_series(s))
-        return 0
-
-    results = {name: _build_series(name, order) for name in _EXPAND_ORDER}
-    reference = results["product"]
-    verdicts = {name: results[name] == reference for name in _EXPAND_ORDER[1:]}
+def cmd_expand(method: str, order: int, format: str) -> int:
+    """One method alone, or all four checked against the first: a verdict,
+    a summary and any JSON "agree" map come only with more than one."""
+    names = list(_EXPANSIONS) if method == "all" else [method]
+    results = {name: _EXPANSIONS[name](order) for name in names}
+    reference = results[names[0]]
+    verdicts = {name: results[name] == reference for name in names[1:]}
     all_agree = all(verdicts.values())
     for name, ok in verdicts.items():
         if not ok:
@@ -116,30 +113,32 @@ def cmd_expand(method: str, order: int, fmt: str) -> int:
             e, want, got = next(
                 (e, x, y) for e, (x, y) in enumerate(zip(reference, results[name])) if x != y
             )
-            print(f"{name}: first difference at x^{e}: product {want}, {name} {got}", file=sys.stderr)
-    if fmt == "json":
+            print(f"{name}: first difference at x^{e}: {names[0]} {want}, {name} {got}", file=sys.stderr)
+    if format == "json":
         payload = _series_json(reference)
-        payload["agree"] = verdicts
+        if verdicts:
+            payload["agree"] = verdicts
         print(canonical_json(payload))
     else:
         print(format_series(reference))
         for name, ok in verdicts.items():
             print(f"{name}: {'agree' if ok else 'MISMATCH'}")
-        print("4 methods agree" if all_agree else "methods disagree")
+        if verdicts:
+            print(f"{len(names)} methods agree" if all_agree else "methods disagree")
     return 0 if all_agree else 1
 
 
-def cmd_partition(n: int | None, upto: int | None, fmt: str) -> int:
+def cmd_partition(upto: int | None, n: int | None, format: str) -> int:
     """Exactly one of n (p(n) only) and upto (p(0)..p(upto)) is given."""
     if n is not None:
         p = partition_count(n)
-        if fmt == "json":
+        if format == "json":
             print(canonical_json({"n": n, "p": str(p)}))
         else:
             print(p)
         return 0
     values = partition_values(upto)
-    if fmt == "json":
+    if format == "json":
         print(canonical_json({"upto": upto, "p": [str(v) for v in values]}))
     else:
         print(" ".join(str(v) for v in values))
@@ -172,38 +171,34 @@ def cmd_verify(depth: int, order: int, roots: int) -> int:
     return 0 if not failures else 1
 
 
-def cmd_bench(sizes: tuple[int, ...], fmt: str) -> int:
+def cmd_bench(sizes: tuple[int, ...], format: str) -> int:
     records = run_bench(list(sizes))
     # the record's field order is the column order of both formats
-    if fmt == "json":
+    if format == "json":
         print(canonical_json([r._asdict() for r in records]))
     else:
         print("\n".join([",".join(BenchRecord._fields), *(",".join(map(str, r)) for r in records)]))
     return 0
 
 
-def _nonneg(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise ValueError("must be >= 0")
-    return value
+def _count(low: int, high: int | None = None):
+    """A validator of an integer count in [low, high].  A negative value
+    reads "must be >= 0" whatever low is, and the upper bound is checked last."""
 
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"not an integer: {text!r}") from None
+        if value < 0:
+            raise ValueError("must be >= 0")
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        if high is not None and value > high:
+            raise ValueError(f"must be <= {high}")
+        return value
 
-def _positive(text: str) -> int:
-    value = _nonneg(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
-
-
-def _roots_count(text: str) -> int:
-    value = _positive(text)
-    if value > _ROOTS_LIMIT:
-        raise ValueError(f"must be <= {_ROOTS_LIMIT}")
-    return value
+    return check
 
 
 def _size_list(text: str) -> tuple[int, ...]:
@@ -229,28 +224,30 @@ def _choice(*choices: str):
 
 
 _REQUIRED = object()
-# Each command's options: option -> (validator, default), _REQUIRED marking a
-# required option.  A validator raises ValueError with the message's tail.
+# Each command's handler and options: option -> (validator, default),
+# _REQUIRED marking a required option.  A validator raises ValueError with
+# the message's tail.  The handler takes each option's name without its
+# dashes as a keyword.
 _GRAMMAR = {
-    "expand": {
-        "--method": (_choice(*_EXPAND_ORDER, "all"), _REQUIRED),
-        "--order": (_nonneg, _REQUIRED),
+    "expand": (cmd_expand, {
+        "--method": (_choice(*_EXPANSIONS, "all"), _REQUIRED),
+        "--order": (_count(0), _REQUIRED),
         "--format": (_choice("text", "json"), "text"),
-    },
-    "partition": {
-        "--upto": (_nonneg, None),
-        "--n": (_nonneg, None),
+    }),
+    "partition": (cmd_partition, {
+        "--upto": (_count(0), None),
+        "--n": (_count(0), None),
         "--format": (_choice("text", "json"), "text"),
-    },
-    "verify": {
-        "--depth": (_positive, _REQUIRED),
-        "--order": (_nonneg, _REQUIRED),
-        "--roots": (_roots_count, 10),
-    },
-    "bench": {
+    }),
+    "verify": (cmd_verify, {
+        "--depth": (_count(1), _REQUIRED),
+        "--order": (_count(0), _REQUIRED),
+        "--roots": (_count(1, _ROOTS_LIMIT), 10),
+    }),
+    "bench": (cmd_bench, {
         "--sizes": (_size_list, _REQUIRED),
         "--format": (_choice("csv", "json"), "csv"),
-    },
+    }),
 }
 # options of which a command takes exactly one
 _ONE_OF = {"partition": ("--upto", "--n")}
@@ -294,7 +291,7 @@ def _parse(argv: list[str]) -> tuple[str, dict] | None:
             f"pentaseries: error: argument command: invalid choice: {command!r} (choose from {choices})"
         )
     prog = f"pentaseries {command}"
-    grammar = _GRAMMAR[command]
+    grammar = _GRAMMAR[command][1]
     group = _ONE_OF.get(command, ())
     values: dict[str, object] = {}
     extras: list[str] = []
@@ -343,13 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     command, opts = parsed
 
     try:
-        if command == "expand":
-            return cmd_expand(opts["method"], opts["order"], opts["format"])
-        if command == "partition":
-            return cmd_partition(opts["n"], opts["upto"], opts["format"])
-        if command == "verify":
-            return cmd_verify(opts["depth"], opts["order"], opts["roots"])
-        return cmd_bench(opts["sizes"], opts["format"])
+        return _GRAMMAR[command][0](**opts)
     except MemoryError:
         # a resource failure is a precondition error, never a mismatch (1)
         print(f"out of memory: {command} input too large", file=sys.stderr)

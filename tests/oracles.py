@@ -9,7 +9,6 @@ import math
 from itertools import islice
 
 from pentaseries import telescoping
-from pentaseries.cli import _EXPAND_ORDER, _ROOTS_LIMIT
 from pentaseries.pentagonal import pent_terms_upto
 from pentaseries.roots import _prime_factors
 
@@ -105,8 +104,8 @@ def _positive(text: str) -> int:
 
 def _roots_count(text: str) -> int:
     value = _positive(text)
-    if value > _ROOTS_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be <= {_ROOTS_LIMIT}")
+    if value > 400:
+        raise argparse.ArgumentTypeError("must be <= 400")
     return value
 
 
@@ -124,7 +123,9 @@ def _size_list(text: str) -> tuple[int, ...]:
 
 
 def argparse_oracle() -> argparse.ArgumentParser:
-    """The argparse parser that the CLI's table-driven one replaced."""
+    """The argparse parser that the CLI's table-driven one replaced.  The
+    methods and the --roots cap are written out here, not read from cli, so
+    a change to either in cli shows as a disagreement."""
     parser = argparse.ArgumentParser(
         prog="pentaseries",
         description="Expand (1-x)(1-x^2)(1-x^3)... exactly, by several methods that check each other.",
@@ -132,7 +133,7 @@ def argparse_oracle() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_expand = sub.add_parser("expand", help="compute the expansion to a given order")
-    p_expand.add_argument("--method", required=True, choices=_EXPAND_ORDER + ("all",))
+    p_expand.add_argument("--method", required=True, choices=("product", "method1", "method2", "closed", "all"))
     p_expand.add_argument("--order", required=True, type=_nonneg)
     p_expand.add_argument("--format", default="text", choices=("text", "json"))
 

@@ -51,6 +51,19 @@ def test_expand_each_method_same_text(capsys, method):
     assert out.strip() == "1 - x - x^2 + x^5 + x^7 - x^12 - x^15 + x^22 + x^26"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("method", ["product", "method1", "method2", "closed"])
+def test_expand_one_method_exact_output(capsys, method, fmt):
+    # one method alone: the series and nothing else, so no verdict, summary or "agree"
+    code, out, err = run_cli(capsys, "expand", "--method", method, "--order", "12", "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "text":
+        assert out == "1 - x - x^2 + x^5 + x^7 - x^12\n"
+    else:
+        assert out == '{"order":12,"coeffs":["1","-1","-1","0","0","1","0","1","0","0","0","0","-1"]}\n'
+        assert "agree" not in json.loads(out)
+
+
 def test_expand_all_agree(capsys):
     code, out, _ = run_cli(capsys, "expand", "--method", "all", "--order", "100")
     assert code == 0
@@ -79,6 +92,7 @@ def test_expand_all_json_round_trip(capsys):
     line = out.strip()
     payload = json.loads(line)
     assert payload["agree"] == {"method1": True, "method2": True, "closed": True}
+    assert list(payload) == ["order", "coeffs", "agree"]
     assert canonical_json(payload) == line
 
 
@@ -505,6 +519,26 @@ def test_parser_forms_and_repeats():
     for argv in argvs:
         assert cli._parse(argv) == expected
     assert cli._parse(["partition", "--n=0"]) == ("partition", {"upto": None, "n": 0, "format": "text"})
+    assert cli._parse(["expand", "--method", "closed", "--order", "-0"]) == (
+        "expand", {"method": "closed", "order": 0, "format": "text"})
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["verify", "--depth", "-1", "--order", "10"], "argument --depth: must be >= 0"),
+        (["verify", "--depth", "0", "--order", "10"], "argument --depth: must be >= 1"),
+        (["verify", "--depth", "1", "--order", "10", "--roots", "0"], "argument --roots: must be >= 1"),
+        (["verify", "--depth", "1", "--order", "10", "--roots", "401"], "argument --roots: must be <= 400"),
+        (["expand", "--method", "closed", "--order", "-1"], "argument --order: must be >= 0"),
+    ],
+    ids=["depth-negative", "depth-zero", "roots-zero", "roots-above-cap", "order-negative"],
+)
+def test_count_edges_exit_2_with_argparse_text(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"pentaseries {argv[0]}: error: {error}\n"
+    assert argparse_outcome(argparse_oracle(), argv) == ("exit", 2, err)
 
 
 def test_unrecognized_argument_with_a_line_break_stays_one_line(capsys):
