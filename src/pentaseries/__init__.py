@@ -7,13 +7,7 @@ multiplicity checks.  All arithmetic is exact integers.
 """
 
 from .bench import BenchRecord, run_bench
-from .partitions import (
-    PartitionTable,
-    iterated_division_check,
-    partition_count,
-    partition_series,
-    partition_values,
-)
+from .partitions import iterated_division_check, partition_series, partition_values
 from .pentagonal import closed_form_series, gpent, pent_sign, pent_terms_upto
 from .roots import root_multiplicities
 from .series import Term, partial_product, series_inverse
@@ -21,14 +15,12 @@ from .telescoping import identity_exponents, residual_series, stream_series, ver
 
 __all__ = [
     "BenchRecord",
-    "PartitionTable",
     "Term",
     "closed_form_series",
     "gpent",
     "identity_exponents",
     "iterated_division_check",
     "partial_product",
-    "partition_count",
     "partition_series",
     "partition_values",
     "pent_sign",

@@ -23,7 +23,7 @@ import os
 import sys
 
 from .bench import BenchRecord, run_bench
-from .partitions import iterated_division_check, partition_count, partition_values
+from .partitions import iterated_division_check, partition_values
 from .pentagonal import closed_form_series
 from .roots import root_multiplicities
 from .series import partial_product
@@ -130,15 +130,13 @@ def cmd_expand(method: str, order: int, format: str) -> int:
 
 def cmd_partition(upto: int | None, n: int | None, format: str) -> int:
     """Exactly one of n (p(n) only) and upto (p(0)..p(upto)) is given."""
+    values = partition_values(upto if n is None else n)
     if n is not None:
-        p = partition_count(n)
         if format == "json":
-            print(canonical_json({"n": n, "p": str(p)}))
+            print(canonical_json({"n": n, "p": str(values[n])}))
         else:
-            print(p)
-        return 0
-    values = partition_values(upto)
-    if format == "json":
+            print(values[n])
+    elif format == "json":
         print(canonical_json({"upto": upto, "p": [str(v) for v in values]}))
     else:
         print(" ".join(str(v) for v in values))

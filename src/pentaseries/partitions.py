@@ -17,13 +17,13 @@ and each offset g >= 2 owns a list iterator over the windows, so the pair
 p(m), p(m+1) is one sum(map(next, ...)) per recurrence sign, run in C, plus
 the offset-1 terms added by hand.  The lane width w covers the largest
 possible low-lane sum, so & and >> split each sum exactly; when that bound
-outgrows w, w becomes twice the bound and the windows are rebuilt.  A table
-that is extended is filled again from p(0).  Filling p(0..6500) took
-22-26 ms in process on a 2-core VM with Python 3.11 (medians of 7, three
-rounds), against 42-46 ms for one entry at a time (kept in the tests as the
-oracle).  Both routes are implemented; their agreement is one of the
-artifact's cross-checks, and the tests add a small dynamic-program oracle as
-the third leg.
+outgrows w, w becomes twice the bound and the windows are rebuilt.  Each
+partition_values(n) call runs one fill from p(0) to n, and p(n) alone is its
+last entry.  Filling p(0..6500) took 22-26 ms in process on a 2-core VM with
+Python 3.11 (medians of 7, three rounds), against 42-46 ms for one entry at a
+time (kept in the tests as the oracle).  Both routes are implemented; their
+agreement is one of the artifact's cross-checks, and the tests add a small
+dynamic-program oracle as the third leg.
 """
 
 from __future__ import annotations
@@ -99,7 +99,11 @@ def _fill(n: int) -> list[int]:
 
 
 class PartitionTable:
-    """Memo of p(0), p(1), ...; extending it refills it from p(0)."""
+    """p(0), p(1), ... from one fill; extending it refills it from p(0).
+
+    partition_values is the one caller.  The class stays only because the
+    benchmark's tracer wraps extend_to and reads computed_upto.
+    """
 
     def __init__(self) -> None:
         self._values: list[int] = [1]
@@ -116,22 +120,13 @@ class PartitionTable:
         if n >= len(self._values):
             self._values = _fill(n)
 
-    def count(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("negative n")
-        self.extend_to(n)
-        return self._values[n]
-
-
-def partition_count(n: int) -> int:
-    """p(n) by the sign-series recurrence, in a fresh table."""
-    return PartitionTable().count(n)
-
 
 def partition_values(n: int) -> tuple[int, ...]:
-    """p(0)..p(n) as a tuple."""
+    """p(0)..p(n) as a tuple, by the sign-series recurrence."""
+    if n < 0:
+        raise ValueError("negative n")
     table = PartitionTable()
-    table.count(n)
+    table.extend_to(n)
     return table.values
 
 

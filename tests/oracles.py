@@ -16,7 +16,7 @@ from pentaseries.roots import _prime_factors
 def partition_bruteforce(n):
     """p(n) by the largest-part dynamic program.
 
-    Deliberately a different algorithm family from partition_count: it never
+    Deliberately a different algorithm family from partition_values: it never
     touches pentagonal numbers, so the two cannot share a bug.
     """
     if n < 0:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pentaseries import bench, cli
+from pentaseries import bench, cli, partitions
 from pentaseries.cli import canonical_json, format_series, main
 from pentaseries.partitions import partition_series
 from pentaseries.telescoping import verify_stage
@@ -139,6 +139,58 @@ def test_partition_needs_exactly_one_selector(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "partition", "--upto", "4", "--n", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 500])
+def test_partition_n_is_the_last_entry_of_upto(capsys, monkeypatch, k, fmt):
+    fills = []
+    fill = partitions._fill
+
+    def spy(n):
+        fills.append(n)
+        return fill(n)
+
+    monkeypatch.setattr(partitions, "_fill", spy)
+    outs = []
+    for selector in ("--upto", "--n"):
+        code, out, err = run_cli(capsys, "partition", selector, str(k), "--format", fmt)
+        assert (code, err) == (0, "")
+        outs.append(out)
+        # one fill per request, and p(0) needs none
+        assert fills == ([k] * len(outs) if k else [])
+    upto, single = outs
+    if fmt == "json":
+        assert json.loads(single) == {"n": k, "p": json.loads(upto)["p"][-1]}
+    else:
+        assert single == upto.split()[-1] + "\n"
+
+
+# (exit code, sha256 of stdout) for the argv shapes the benchmark runs, so
+# that a change meant to keep stdout byte-identical is checked on every run
+# rather than by a comparison made by hand
+STDOUT_DIGESTS = {
+    "expand --method all --order 2400":
+        (0, "b87f5f767abe57e226bbbed292338612c9db1b8b3c717b1f704f84d94d65befb"),
+    "expand --method all --order 2400 --format json":
+        (0, "aa11ed0f5271c053fc1ae09388e7a452d0b4a9c605b91079ef0840dd1f7e3c74"),
+    "partition --n 6500":
+        (0, "33e397da4663868adc09652101f94103ea8885bf201d9152c8373c3816d19008"),
+    "partition --upto 5000":
+        (0, "298416be5f91f17ecc7af26965006cc959f2ab4e14fac596c14ed36c93266703"),
+    "partition --upto 5000 --format json":
+        (0, "342605c8eb053e91dd63aa6e8c972ac7531b736a7b53053c5aeac4d8bd22d546"),
+    "verify --depth 8 --order 1000 --roots 4":
+        (0, "ce05fc41173c4bc39deb3ef6a65e86fff5b2cf5447eed72043b81c9ebf8f13af"),
+    "verify --depth 2 --order 60 --roots 34":
+        (0, "6966a9df14eb5e04e854975c7582db38346092fec52523828db75747a0f0a564"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STDOUT_DIGESTS))
+def test_benchmark_shaped_stdout_is_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_DIGESTS[argv]
 
 
 def test_verify_passes(capsys):

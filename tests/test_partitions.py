@@ -8,7 +8,6 @@ from pentaseries.partitions import (
     PartitionTable,
     _low_lane_bits,
     iterated_division_check,
-    partition_count,
     partition_series,
     partition_values,
 )
@@ -39,17 +38,17 @@ KNOWN_PREFIX = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
 
 
 def test_small_values():
-    assert [partition_count(n) for n in range(13)] == KNOWN_PREFIX
+    assert [partition_values(n)[n] for n in range(13)] == KNOWN_PREFIX
 
 
 def test_recurrence_vs_bruteforce():
     for n in range(61):
-        assert partition_count(n) == partition_bruteforce(n)
+        assert partition_values(n)[n] == partition_bruteforce(n)
 
 
 def test_recurrence_vs_enumeration():
     for n in range(41):
-        assert partition_count(n) == count_by_enumeration(n)
+        assert partition_values(n)[n] == count_by_enumeration(n)
 
 
 def test_bruteforce_examples():
@@ -61,18 +60,25 @@ def test_bruteforce_examples():
 def test_bruteforce_guard():
     with pytest.raises(ValueError, match="oracle bound exceeded"):
         partition_bruteforce(101)
-    assert partition_bruteforce(100) == partition_count(100)
+    assert partition_bruteforce(100) == partition_values(100)[100]
     with pytest.raises(ValueError):
         partition_bruteforce(-1)
+
+
+def test_negative_n_is_rejected():
+    with pytest.raises(ValueError, match="^negative n$"):
+        partition_values(-1)
 
 
 def test_table_growth_and_reuse():
     table = PartitionTable()
     assert table.computed_upto == 0
-    assert table.count(30) == 5604
+    table.extend_to(30)
+    assert table.values[30] == 5604
     assert table.computed_upto == 30
     # asking for less must not shrink anything
-    assert table.count(5) == 7
+    table.extend_to(5)
+    assert table.values[5] == 7
     assert table.computed_upto == 30
     assert table.values[:6] == (1, 1, 2, 3, 5, 7)
 
@@ -209,7 +215,7 @@ def test_one_fill_per_call(monkeypatch):
     monkeypatch.setattr(partitions, "_fill", spy)
     values = partition_values(40)
     assert fills == [40]
-    assert partition_count(41) == 44583
+    assert partition_values(41)[41] == 44583
     assert fills == [40, 41]
     table = PartitionTable()
     table.extend_to(30)
@@ -217,7 +223,8 @@ def test_one_fill_per_call(monkeypatch):
     # an n the table already holds fills nothing
     for n in (30, 29, 7, 0, -1):
         table.extend_to(n)
-    assert table.count(12) == 77
+    table.extend_to(12)
+    assert table.values[12] == 77
     assert fills == [40, 41, 30]
     # a larger n refills from p(0), to what a fresh fill gives
     table.extend_to(40)
@@ -268,8 +275,8 @@ def test_defining_identity_over_the_whole_table(whole_table):
 
 
 def test_big_value_exceeds_machine_words():
-    assert partition_count(500) == 2300165032574323995027
-    assert partition_count(500).bit_length() > 64
+    assert partition_values(500)[500] == 2300165032574323995027
+    assert partition_values(500)[500].bit_length() > 64
 
 
 def test_iterated_division():
