@@ -15,18 +15,17 @@ offsets <= n from pent_terms_upto once and makes two entries per addition.
 Each window W[j] = p(j) + p(j+1)*2^w packs two neighbours into one integer,
 and each offset g >= 2 owns a list iterator over the windows, so the pair
 p(m), p(m+1) is one sum(map(next, ...)) per recurrence sign, run in C, plus
-the offset-1 terms added by hand.  The lane width w covers the largest
-possible low-lane sum, so & and >> split each sum exactly; when that bound
-outgrows w, w becomes twice the bound and the windows are rebuilt.  Each
-partition_values(n) call runs one fill from p(0) to n, and p(n) alone is its
-last entry.  Filling p(0..6500) took 22-26 ms in process on a 2-core VM with
-Python 3.11 (medians of 7, three rounds), against 42-46 ms for one entry at a
-time (kept in the tests as the oracle).  Both routes are implemented; their
-agreement is one of the artifact's cross-checks, and the tests add a small
-dynamic-program oracle as the third leg.
+the offset-1 terms added by hand.  The lane width w is set once, from a
+bound on the bits of p(n) (_entry_bits), so & and >> split each sum exactly.
+Each partition_values(n) call runs one fill from p(0) to n.  Filling
+p(0..6500) took 22-37 ms in process on a 2-core VM with Python 3.11, against
+47-79 ms for one entry at a time (a test oracle).  The inversion route,
+partition_series, cross-checks the fill, and the tests add a third leg.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from .pentagonal import closed_form_series, pent_terms_upto
 from .series import _div_binomial_inplace, series_inverse
@@ -38,23 +37,32 @@ def _low_lane_bits(largest: int, count: int) -> int:
     return largest.bit_length() + count.bit_length()
 
 
+def _entry_bits(n: int) -> int:
+    """Bits that hold p(m) for every m <= n, as p(m) < e^(pi*sqrt(2m/3))
+    (Apostol, Thm 14.5) and pi*sqrt(2/3)/ln 2 = 3.70066 < 3.701."""
+    return 3701 * (isqrt(n) + 1) // 1000 + 2
+
+
 def _fill(n: int) -> list[int]:
     """p(0)..p(n) in a new list, by the two-lane recurrence."""
     # Allocate every entry first, so an n too large for memory fails here at
     # once rather than after building ~sqrt(n) offsets.
     vals = [1] + [0] * n
-    # Window W[j] = p(j) + p(j+1)*2^w, with p(-1) = 0, holds two entries, so
-    # one addition of W[m-g] serves offset g for both p(m) and p(m+1).
-    # wins[s & 1][s >> 1] is W[s-1]: the pair (m, m+1) reads W[m-g] and the
-    # next pair W[m+2-g], so each offset's cursor steps once per pair.
-    wins: tuple[list[int], list[int]] = ([], [])
-    w = 0
-    mask = 0
     # One list iterator per offset g >= 2, added (odd k) or subtracted (even
     # k): the recurrence sign (-1)^(k+1) is minus the series sign.  Offset 1
     # reads W[m-1], whose high lane is the p(m) being computed, so its term is
     # added by hand.
     offsets = pent_terms_upto(n)[1:]
+    # Each sign's low lanes sum at most len(offsets) values p(m-g) < 2^top,
+    # so w bits hold the sum: & mask and >> w then split it with no carry.
+    top = _entry_bits(n)
+    w = _low_lane_bits((1 << top) - 1, len(offsets))
+    mask = (1 << w) - 1
+    # Window W[j] = p(j) + p(j+1)*2^w, with p(-1) = 0, holds two entries, so
+    # one addition of W[m-g] serves offset g for both p(m) and p(m+1).
+    # wins[s & 1][s >> 1] is W[s-1]: the pair (m, m+1) reads W[m-g] and the
+    # next pair W[m+2-g], so each offset's cursor steps once per pair.
+    wins: tuple[list[int], list[int]] = ([1 << w], [])
     cursors: tuple[list, list] = ([], [])
     active = 0
     for m in range(1, n + 1, 2):
@@ -63,18 +71,10 @@ def _fill(n: int) -> list[int]:
         while active < len(offsets) and offsets[active].exponent <= m + 1:
             active += 1
         prev = vals[m - 1]
-        # Each sign's low lanes sum at most `active` values p(m-g) <= p(m-1),
-        # as p is nondecreasing, so need bits hold the sum: & mask and >> w
-        # then split it with no carry.
-        need = _low_lane_bits(prev, active)
-        if need > w:
-            w = 2 * need
-            mask = (1 << w) - 1
-            # Rebuild W[-1..m-2] in place, so the cursors keep their positions.
-            lows = [0, *vals[: m - 1]]
-            for parity in (0, 1):
-                pairs = zip(lows[parity::2], vals[parity:m:2])
-                wins[parity][:] = [lo + (hi << w) for lo, hi in pairs]
+        # p is nondecreasing, so p(m-1) bounds every value this pair reads:
+        # while it fits in top bits each split is exact, else this raises.
+        if prev.bit_length() > top:
+            raise ArithmeticError(f"p({m - 1}) has more than {top} bits")
         # A new cursor stands at W[m-g].  __setstate__ clamps to the list's
         # length, so it runs only once that window exists.
         for t in offsets[joined:active]:
@@ -83,8 +83,8 @@ def _fill(n: int) -> list[int]:
             cursor.__setstate__(s >> 1)
             cursors[t.sign > 0].append(cursor)
         # Invariant: every window a cursor reads (W[m-g], g >= 2, so at most
-        # W[m-2]) exists before this pair reads it, from the rebuild or from
-        # the appends after the pair before.  So no cursor is exhausted and
+        # W[m-2]) exists before this pair reads it, as W[-1] or from the
+        # appends after the pair before.  So no cursor is exhausted and
         # map(next, ...) cannot stop short.
         added = sum(map(next, cursors[0]))
         subtracted = sum(map(next, cursors[1]))

@@ -1,8 +1,9 @@
 """Reference routines that only the tests call: a partition count from a
 different algorithm family, the one-entry-at-a-time partition table fill,
-Euler's totient for the degree bookkeeping of the root multiplicities, one
-stage of the telescoping recurrences, the log-log fit of the benchmark
-report, and the argparse parser the command line was once read with."""
+per-element forms of the two binomial kernels, Euler's totient for the
+degree bookkeeping of the root multiplicities, one stage of the telescoping
+recurrences, the log-log fit of the benchmark report, and the argparse parser
+the command line was once read with."""
 
 import argparse
 import math
@@ -53,6 +54,20 @@ def split_sign_fill(vals, n):
             im += 1
         vals[m] = sum([vals[m - g] for g in plus[:ip]]) - sum([vals[m - g] for g in minus[:im]])
     return vals
+
+
+def mul_binomial_oracle(c, k):
+    """c times (1 - x^k) modulo x^len(c), one entry at a time."""
+    return [c[i] - c[i - k] if i >= k else c[i] for i in range(len(c))]
+
+
+def div_binomial_oracle(c, k):
+    """c divided by (1 - x^k) modulo x^len(c), one entry at a time: each
+    quotient entry q[i] = c[i] + q[i-k] reads a lower one."""
+    q = []
+    for i, ci in enumerate(c):
+        q.append(ci + q[i - k] if i >= k else ci)
+    return q
 
 
 def totient(n):

@@ -180,6 +180,9 @@ STDOUT_DIGESTS = {
         (0, "298416be5f91f17ecc7af26965006cc959f2ab4e14fac596c14ed36c93266703"),
     "partition --upto 5000 --format json":
         (0, "342605c8eb053e91dd63aa6e8c972ac7531b736a7b53053c5aeac4d8bd22d546"),
+    # the largest fill the suite runs, whose lanes are the widest
+    "partition --upto 20000 --format json":
+        (0, "216562453b2283e9908c8444c365d6758923002a1017420f90490f60daebb985"),
     "verify --depth 8 --order 1000 --roots 4":
         (0, "ce05fc41173c4bc39deb3ef6a65e86fff5b2cf5447eed72043b81c9ebf8f13af"),
     "verify --depth 2 --order 60 --roots 34":

@@ -6,6 +6,7 @@ import pytest
 from pentaseries import partitions
 from pentaseries.partitions import (
     PartitionTable,
+    _entry_bits,
     _low_lane_bits,
     iterated_division_check,
     partition_series,
@@ -150,8 +151,8 @@ def uneven_schedule(seed, top):
         if n < 5:
             n += rng.choice((1, 2))
         elif n < 10:
-            # one call from a start below 11 to past 1000: inside it the
-            # lane width grows and the windows are rebuilt several times
+            # one call from a start below 11 to past 1000: one fill carries
+            # entries of 1 to over 100 bits in lanes sized once for its n
             n = rng.randrange(1000, 1500)
         else:
             n += rng.choice((1, 1, 2, 2, 3, rng.randrange(4, 200)))
@@ -183,6 +184,15 @@ def test_low_lane_bits_hold_the_worst_sum_and_no_fewer():
         for k in range(2, 12):
             largest, count = (1 << b) - 1, (1 << k) - 1
             assert count * largest >= 1 << (_low_lane_bits(largest, count) - 1)
+
+
+def test_a_bound_too_small_raises_instead_of_splitting_wrong(monkeypatch):
+    # with isqrt read as 0 the bound is 5 bits, which p(10) = 42 outgrows: the
+    # guard raises before any pair reads it, so no split can go wrong silently
+    monkeypatch.setattr(partitions, "isqrt", lambda n: 0)
+    assert _entry_bits(400) == 5
+    with pytest.raises(ArithmeticError, match=r"^p\(10\) has more than 5 bits$"):
+        partitions._fill(400)
 
 
 def test_interrupted_extension_keeps_the_old_entries(monkeypatch):
@@ -253,13 +263,32 @@ def test_ramanujan_congruences_over_the_whole_table(whole_table):
     # p(5k+4) = 0 mod 5, p(7k+5) = 0 mod 7 and p(11k+6) = 0 mod 11 (Ramanujan,
     # "Some properties of p(n)", 1919) hold at every n and share no code with
     # the two-lane fill, so they check every entry far past the n = 3001
-    # oracles, across all of the fill's lane-width rebuilds up to 20000
+    # oracles, up to 20000, in the widest lanes the suite fills
     values = whole_table
     assert len(values) == 20001
     for modulus, residue in ((5, 4), (7, 5), (11, 6)):
         checked = values[residue::modulus]
         assert len(checked) == (20000 - residue) // modulus + 1
         assert all(p % modulus == 0 for p in checked), modulus
+
+
+def test_entry_bits_hold_every_entry_of_the_whole_table(whole_table):
+    # the fill's lanes are sized from _entry_bits(n); it must hold p(n) at
+    # every n, and its largest slack to 20000 (at n = 116^2, where isqrt
+    # steps) is pinned, so the lanes cannot silently widen
+    slack = [_entry_bits(n) - p.bit_length() for n, p in enumerate(whole_table)]
+    assert min(slack) >= 0
+    assert max(slack) == 22
+    assert slack.index(22) == 116**2
+
+
+def test_lanes_stay_exact_at_the_tightest_bound(monkeypatch, whole_table):
+    # with the entry bound cut to the bits of p(n) itself the lanes have no
+    # slack: only the offset count's bits in w keep a sign's low-lane sum from
+    # carrying into the high lane (a w of top alone already fails at n = 75)
+    monkeypatch.setattr(partitions, "_entry_bits", lambda n: whole_table[n].bit_length())
+    for n in [*range(401), 20000]:
+        assert partitions._fill(n) == list(whole_table[: n + 1]), n
 
 
 def test_defining_identity_over_the_whole_table(whole_table):

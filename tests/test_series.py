@@ -9,6 +9,7 @@ from pentaseries.series import (
     series_inverse,
 )
 
+from oracles import div_binomial_oracle, mul_binomial_oracle
 from schoolbook import schoolbook_product, series_product
 
 
@@ -276,6 +277,23 @@ def test_binomial_kernel_zero_prefix_matches_full_pass(rng):
             assert full[k:] == [hi - lo for hi, lo in zip(c[k:], c)]
         else:
             assert full == c
+
+
+def test_binomial_kernels_match_per_element_oracles(rng):
+    # the edges first: an empty list, k = 1, k = len - 1, k = len and k > len
+    shapes = [(0, 1), (0, 5), (1, 1), (1, 2), (2, 1), (7, 1), (7, 6), (7, 7), (7, 30)]
+    for _ in range(300):
+        size = rng.randint(0, 40)
+        shapes.append((size, rng.randint(1, size + 3)))
+    for size, k in shapes:
+        c = [rng.randint(-(10**40), 10**40) for _ in range(size)]
+        for kernel, oracle in (
+            (_mul_binomial_inplace, mul_binomial_oracle),
+            (_div_binomial_inplace, div_binomial_oracle),
+        ):
+            got = list(c)
+            kernel(got, k)
+            assert got == oracle(c, k), (kernel.__name__, size, k)
 
 
 def test_partial_product_coefficients_stay_small():
