@@ -10,16 +10,16 @@ into a recurrence:
 with terms dropped once the argument goes negative.  Roughly 2*sqrt(2n/3)
 earlier values contribute per n, so filling a table to n costs O(n^1.5)
 big-integer additions, versus O(n^2) multiplications for direct series
-inversion.  One fill, _fill, computes p(0..n) in a new list: it takes the
-offsets <= n from pent_terms_upto once and makes two entries per addition.
-Each window W[j] = p(j) + p(j+1)*2^w packs two neighbours into one integer,
-and each offset g >= 2 owns a list iterator over the windows, so the pair
-p(m), p(m+1) is one sum(map(next, ...)) per recurrence sign, run in C, plus
-the offset-1 terms added by hand.  The lane width w is set once, from a
+inversion.  Each partition_values(n) call runs one fill, _fill, from p(0) to n
+in a new list: it takes the offsets <= n from pent_terms_upto once and makes
+two entries per addition.  Each window W[j] = p(j) + p(j+1)*2^w packs two
+neighbours into one integer, and the windows sit in two lists by the parity of
+j.  Each offset g >= 2 owns an iterator that starts at the head of list g & 1,
+so the pair p(m), p(m+1) is one sum(map(next, ...)) per recurrence sign, run in
+C, plus the offset-1 terms added by hand.  The lane width w is set once, from a
 bound on the bits of p(n) (_entry_bits), so & and >> split each sum exactly.
-Each partition_values(n) call runs one fill from p(0) to n.  Filling
-p(0..6500) took 22-37 ms in process on a 2-core VM with Python 3.11, against
-47-79 ms for one entry at a time (a test oracle).  The inversion route,
+Filling p(0..6500) took 22-37 ms in process on a 2-core VM with Python 3.11,
+against 47-79 ms for one entry at a time (a test oracle).  The inversion route,
 partition_series, cross-checks the fill, and the tests add a third leg.
 """
 
@@ -60,28 +60,25 @@ def _fill(n: int) -> list[int]:
     mask = (1 << w) - 1
     # Window W[j] = p(j) + p(j+1)*2^w, with p(-1) = 0, holds two entries, so
     # one addition of W[m-g] serves offset g for both p(m) and p(m+1).
-    # wins[s & 1][s >> 1] is W[s-1]: the pair (m, m+1) reads W[m-g] and the
+    # Pairs start at odd m, so wins[0] holds W[-1], W[1], W[3], ... and
+    # wins[1] holds W[0], W[2], ...: the pair (m, m+1) reads W[m-g] and the
     # next pair W[m+2-g], so each offset's cursor steps once per pair.
     wins: tuple[list[int], list[int]] = ([1 << w], [])
     cursors: tuple[list, list] = ([], [])
     active = 0
     for m in range(1, n + 1, 2):
-        # Offset g is active from the first pair with g <= m + 1.
-        joined = active
+        # Offset g joins at the first pair with g <= m + 1, so g is m or
+        # m + 1 and its first window W[m-g] is W[0] or W[-1]: the head of
+        # wins[g & 1].
         while active < len(offsets) and offsets[active].exponent <= m + 1:
+            t = offsets[active]
+            cursors[t.sign > 0].append(iter(wins[t.exponent & 1]))
             active += 1
         prev = vals[m - 1]
         # p is nondecreasing, so p(m-1) bounds every value this pair reads:
         # while it fits in top bits each split is exact, else this raises.
         if prev.bit_length() > top:
             raise ArithmeticError(f"p({m - 1}) has more than {top} bits")
-        # A new cursor stands at W[m-g].  __setstate__ clamps to the list's
-        # length, so it runs only once that window exists.
-        for t in offsets[joined:active]:
-            s = m - t.exponent + 1
-            cursor = iter(wins[s & 1])
-            cursor.__setstate__(s >> 1)
-            cursors[t.sign > 0].append(cursor)
         # Invariant: every window a cursor reads (W[m-g], g >= 2, so at most
         # W[m-2]) exists before this pair reads it, as W[-1] or from the
         # appends after the pair before.  So no cursor is exhausted and
@@ -93,8 +90,8 @@ def _fill(n: int) -> list[int]:
         if m < n:
             high = (added >> w) - (subtracted >> w) + low
             vals[m + 1] = high
-            wins[m & 1].append(prev + (low << w))
-            wins[(m + 1) & 1].append(low + (high << w))
+            wins[1].append(prev + (low << w))
+            wins[0].append(low + (high << w))
     return vals
 
 

@@ -174,6 +174,11 @@ STDOUT_DIGESTS = {
         (0, "b87f5f767abe57e226bbbed292338612c9db1b8b3c717b1f704f84d94d65befb"),
     "expand --method all --order 2400 --format json":
         (0, "aa11ed0f5271c053fc1ae09388e7a452d0b4a9c605b91079ef0840dd1f7e3c74"),
+    # odd n: the fill's last pair writes one entry
+    "partition --n 6499":
+        (0, "9f2bcd4bea216fb764937b1a37bb4f46bace621f7f2cda58d0f4303f1855d916"),
+    "partition --upto 4999 --format json":
+        (0, "a21aa790c3fc50a585ccf1ea0d185cdada7e1025a82938fb9d2560b21f258718"),
     "partition --n 6500":
         (0, "33e397da4663868adc09652101f94103ea8885bf201d9152c8373c3816d19008"),
     "partition --upto 5000":
@@ -635,6 +640,8 @@ def test_canonical_json_rejects_strings_that_need_escaping():
             with pytest.raises(ValueError, match="needs JSON escaping"):
                 canonical_json(obj)
     assert canonical_json([]) == json.dumps([]) and canonical_json({}) == json.dumps({})
+    with pytest.raises(TypeError, match="^not a CLI payload type: float$"):
+        canonical_json(1.5)
 
 
 def test_run_writes_every_byte_before_its_fast_exit(capsys):

@@ -313,6 +313,8 @@ def test_iterated_division():
     assert iterated_division_check(1)
     assert iterated_division_check(5)
     assert all(iterated_division_check(m) for m in range(26))
+    with pytest.raises(ValueError, match="^negative divisor count$"):
+        iterated_division_check(-1)
 
 
 @pytest.mark.parametrize("divisors", [0, 1, 5, 12])

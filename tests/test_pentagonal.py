@@ -67,6 +67,8 @@ def test_closed_form_small_orders():
     s = closed_form_series(15)
     nonzero = {e: c for e, c in enumerate(s) if c}
     assert nonzero == {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1}
+    with pytest.raises(ValueError, match="^negative order$"):
+        closed_form_series(-1)
 
 
 def test_closed_form_equals_product():

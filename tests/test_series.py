@@ -142,6 +142,10 @@ def test_partial_product_edges():
     assert partial_product(0, 5) == (1, 0, 0, 0, 0, 0)
     assert partial_product(3, 10) == (1, -1, -1, 0, 1, 1, -1, 0, 0, 0, 0)
     assert partial_product(12, 12) == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
+    with pytest.raises(ValueError, match="^negative factor count$"):
+        partial_product(-1, 5)
+    with pytest.raises(ValueError, match="^negative order$"):
+        partial_product(5, -1)
 
 
 def test_partial_product_matches_repeated_mul(rng):

@@ -209,6 +209,9 @@ def test_stream_series_matches_other_routes():
         assert s1 == closed_form_series(n)
         assert s2 == closed_form_series(n)
         assert s1 == partial_product(n, n)
+    for method in ("method1", "method2"):
+        with pytest.raises(ValueError, match="^negative order$"):
+            stream_series(method, -1)
 
 
 def test_routes_never_consult_the_closed_form(monkeypatch):
