@@ -1,22 +1,17 @@
 """Root-of-unity multiplicities in partial products, checked algebraically.
 
-Every root of (1-x)(1-x^2)...(1-x^M) is a root of unity: the factor 1 - x^k
-vanishes exactly at the k-th roots.  A primitive d-th root appears in factor
-k precisely when d divides k, so its multiplicity in the partial product is
-floor(M/d).  The check here is exact: build the product once, divide
-repeatedly by the cyclotomic polynomial of each order d and count the
-divisions with zero remainder.  No complex arithmetic, no numerical
-root-finding.
+Every root of (1-x)(1-x^2)...(1-x^M) is a root of unity: the factor 1 - x^n
+vanishes exactly at the n-th roots.  A primitive d-th root appears in factor
+n precisely when d divides n, so its multiplicity in the partial product is
+floor(M/d).  The check here is exact and needs no complex arithmetic and no
+numerical root-finding: build the product once and divide out the paper's
+own factors (1 - x^n), each as often as it divides.
 
-Phi_d is never expanded.  Moebius inversion of x^d - 1 = prod_{e|d} Phi_e
-gives it in factored form,
-
-    Phi_d = +-prod_{e|d} (1 - x^e)^mu(d/e),
-
-so dividing by Phi_d is multiplying by each (1 - x^e) with mu(d/e) = -1 and
-then dividing exactly by each (1 - x^e) with mu(d/e) = +1.  Both are the
-linear binomial passes of the series module; a division that leaves
-anything in the top e entries means Phi_d does not divide.
+Counting the divisions gives exponents c_n, and a leftover quotient of
+exactly 1 certifies that the product equals prod_n (1 - x^n)^c_n.  Since
+x^n - 1 is the product of the cyclotomic polynomials Phi_e over the e
+dividing n, a primitive d-th root then has multiplicity sum_{d|n} c_n.  Any
+other leftover (the product negated or tripled, say) is a failed check.
 
 Only partial products are examined.  The truncated sparse series itself has
 its own unrelated roots, and nothing is claimed about where those lie.
@@ -24,45 +19,7 @@ its own unrelated roots, and nothing is claimed about where those lie.
 
 from __future__ import annotations
 
-from .series import _div_binomial_inplace, _mul_binomial_inplace, partial_product
-
-
-def _prime_factors(n: int) -> list[int]:
-    """The distinct primes of n >= 1, ascending, by trial division."""
-    primes = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            primes.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
-def _divide_by_phi(p: list[int], d: int) -> list[int] | None:
-    """p / prod_{e|d} (1 - x^e)^mu(d/e), or None if that does not divide p.
-
-    p holds a nonzero polynomial with no trailing zeros, and so does the
-    quotient.  The factored product is Phi_d for d > 1 and -Phi_1 for d = 1.
-    The e with mu(d/e) = +-1 are d over the square-free products of d's
-    primes, the sign being that of (-1)^(number of primes).
-    """
-    plus, minus = [d], []
-    for prime in _prime_factors(d):
-        plus, minus = plus + [e // prime for e in minus], minus + [e // prime for e in plus]
-    q = list(p)
-    for e in minus:
-        q += [0] * e
-        _mul_binomial_inplace(q, e)
-    for e in plus:
-        _div_binomial_inplace(q, e)
-        if any(q[-e:]):
-            return None
-        del q[-e:]
-    return q
+from .series import _div_binomial_inplace, partial_product
 
 
 def root_multiplicities(factors: int) -> tuple[int, ...]:
@@ -70,24 +27,34 @@ def root_multiplicities(factors: int) -> tuple[int, ...]:
     (1-x)(1-x^2)...(1-x^factors); entry d-1 is the count for d = 1..factors.
 
     The full product (degree factors(factors+1)/2, so nothing is truncated)
-    is built once.  Phi_factors, ..., Phi_1 are then divided out of the
-    running quotient, each until a division fails.  Distinct cyclotomic
-    polynomials are coprime, so each count equals the one a division of the
-    full product by Phi_d alone would give.  Largest d goes first because
-    that keeps the quotient's coefficients small.
+    is built once.  For n = factors, ..., 1 the running quotient is divided
+    by (1 - x^n) until a prefix-divide pass leaves anything in its top n
+    entries.  A nonzero polynomial no longer than n is not divisible, so
+    each accepted division drops n entries and the loop ends.  Largest n
+    goes first: 1 - x^e divides 1 - x^n whenever e divides n, so a smaller
+    e divided out first would take the factors that belong to the larger n.
+    The exponents c_n are unique, since Moebius inversion fixes them from
+    the multiplicities of the Phi_d.
 
-    The factored division drops the degree by phi(d) >= 1, so an accepted
-    quotient not strictly shorter than its dividend means the division is
-    wrong; that raises ArithmeticError instead of dividing forever.
+    Raises ArithmeticError, naming the degree and first coefficients of the
+    leftover, when the quotient left at the end is not exactly 1.
     """
     if factors < 0:
         raise ValueError("negative factor count")
     p = list(partial_product(factors, factors * (factors + 1) // 2))
-    counts = [0] * factors
-    for d in range(factors, 0, -1):
-        while (quot := _divide_by_phi(p, d)) is not None:
-            if len(quot) >= len(p):
-                raise ArithmeticError(f"division by Phi_{d} left the length at {len(quot)}")
-            p = quot
-            counts[d - 1] += 1
-    return tuple(counts)
+    exponents = [0] * (factors + 1)
+    for n in range(factors, 0, -1):
+        while len(p) > n:
+            q = p.copy()
+            _div_binomial_inplace(q, n)
+            if any(q[-n:]):
+                break
+            del q[-n:]
+            p = q
+            exponents[n] += 1
+    if p != [1]:
+        raise ArithmeticError(
+            f"the product is not a product of factors (1 - x^n): leftover of degree {len(p) - 1}, "
+            f"starting {p[:4]}"
+        )
+    return tuple(sum(exponents[d::d]) for d in range(1, factors + 1))

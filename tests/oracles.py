@@ -11,7 +11,6 @@ from itertools import islice
 
 from pentaseries import telescoping
 from pentaseries.pentagonal import pent_terms_upto
-from pentaseries.roots import _prime_factors
 
 
 def partition_bruteforce(n):
@@ -71,13 +70,10 @@ def div_binomial_oracle(c, k):
 
 
 def totient(n):
-    """Count of 1 <= k <= n coprime to n, from the distinct primes of n."""
+    """Count of 1 <= k <= n coprime to n, counted one k at a time."""
     if n < 1:
         raise ValueError("totient of non-positive integer")
-    result = n
-    for prime in _prime_factors(n):
-        result -= result // prime
-    return result
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
 
 
 def stage_of(method, m):

@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from pentaseries import bench, cli, partitions
+from pentaseries import bench, cli, partitions, roots
 from pentaseries.cli import canonical_json, format_series, main
 from pentaseries.partitions import partition_series
+from pentaseries.series import partial_product
 from pentaseries.telescoping import verify_stage
 
 from oracles import argparse_oracle, stage_of
@@ -219,6 +220,22 @@ def test_verify_roots_flag(capsys):
         "root d=3 expected=1 measured=1 match",
         "root d=4 expected=1 measured=1 match",
     ]
+
+
+@pytest.mark.parametrize("scale", [3, -1], ids=["tripled", "negated"])
+def test_verify_fails_a_product_with_a_leftover(capsys, monkeypatch, scale):
+    # every count of such a product is floor(M/d); only its leftover differs
+    argv = ("verify", "--depth", "2", "--order", "60", "--roots", "12")
+    _, passing, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(roots, "partial_product", lambda f, o: [scale * c for c in partial_product(f, o)])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    stage_lines = [line for line in passing.splitlines() if not line.startswith("root ")][:-1]
+    assert out.splitlines() == stage_lines + ["1 check(s) failed"]
+    assert err == (
+        "roots M=12: the product is not a product of factors (1 - x^n): "
+        f"leftover of degree 0, starting [{scale}]\n"
+    )
 
 
 def test_verify_order_too_small(capsys):

@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import pytest
@@ -6,7 +7,7 @@ from pentaseries import roots
 from pentaseries.roots import root_multiplicities
 from pentaseries.series import partial_product
 
-from oracles import totient
+from oracles import mul_binomial_oracle, totient
 from schoolbook import schoolbook_product
 
 CYCLOTOMIC_SMALL = {
@@ -23,9 +24,9 @@ CYCLOTOMIC_SMALL = {
 }
 
 
-# The expanded-polynomial stack that root_multiplicities used before it
-# divided by Phi_d in factored form, kept as the oracle: dense long division
-# by Phi_d, itself found by long division of x^d - 1.
+# The expanded-polynomial stack that root_multiplicities once used, kept as
+# the oracle: dense long division by Phi_d, itself found by long division of
+# x^d - 1.
 
 
 def poly(coeffs=()):
@@ -234,40 +235,80 @@ def test_multiplicities_build_the_product_once(monkeypatch):
     assert calls == [(20, 210)]
 
 
-def test_division_that_keeps_the_length_fails_instead_of_looping(monkeypatch):
-    # a division that always "succeeds" without dropping the degree would
-    # otherwise divide forever
-    monkeypatch.setattr(roots, "_divide_by_phi", lambda p, d: p)
-    with pytest.raises(ArithmeticError, match="division by Phi_5 left the length at 16"):
-        root_multiplicities(5)
-
-
 @pytest.mark.parametrize("m", [1, 5, 30])
 def test_multiplicity_divides_the_full_product(monkeypatch, m):
     dividends = []
-    divide = roots._divide_by_phi
+    divide = roots._div_binomial_inplace
 
-    def recording_divide(p, d):
-        dividends.append(tuple(p))
-        return divide(p, d)
+    def recording_divide(c, k):
+        dividends.append(tuple(c))
+        divide(c, k)
 
-    monkeypatch.setattr(roots, "_divide_by_phi", recording_divide)
+    monkeypatch.setattr(roots, "_div_binomial_inplace", recording_divide)
     assert root_multiplicities(m)[0] == m
     assert dividends[0] == dense_binomial_product(m)
     assert len(dividends[0]) - 1 == m * (m + 1) // 2
 
 
-def test_factored_division_matches_cyclotomic_oracle(rng):
-    for d in range(1, 61):
-        phi = cyclotomic(d)
-        p = poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 12))] + [rng.choice((-3, 1, 2))])
-        dividend = list(poly_mul(p, phi))
-        # the factored product is Phi_d for d > 1 but 1 - x = -Phi_1
-        sign = -1 if d == 1 else 1
-        assert roots._divide_by_phi(dividend, d) == [sign * c for c in p]
-        r = [rng.randint(-9, 9) for _ in range(totient(d))]
-        r[rng.randrange(len(r))] = rng.choice((-1, 1))
-        assert roots._divide_by_phi(poly_add_oracle(dividend, r), d) is None
+def patch_product(monkeypatch, change):
+    """Make roots build change(the product's coefficients) instead."""
+    monkeypatch.setattr(roots, "partial_product", lambda f, o: change(partial_product(f, o)))
+
+
+@pytest.mark.parametrize(
+    "change,leftover",
+    [
+        (lambda p: [3 * c for c in p], "degree 0, starting [3]"),
+        (lambda p: [-c for c in p], "degree 0, starting [-1]"),
+        # 1 + x^2 + x^3, which no (1 - x^n) divides
+        (lambda p: list(poly_mul(p, (1, 0, 1, 1))), "degree 3, starting [1, 0, 1, 1]"),
+    ],
+    ids=["tripled", "negated", "times-1+x^2+x^3"],
+)
+def test_a_leftover_other_than_one_raises(monkeypatch, change, leftover):
+    # the tripled and negated products have every count floor(M/d), so
+    # only the leftover tells them from the product itself
+    patch_product(monkeypatch, change)
+    with pytest.raises(ArithmeticError, match=re.escape(f"leftover of {leftover}")):
+        root_multiplicities(12)
+
+
+@pytest.mark.parametrize("m", [6, 13, 20])
+def test_a_product_times_one_plus_x_counts_one_more_square_root(monkeypatch, m):
+    # 1 + x = (1 - x^2) / (1 - x), so the leftover is still 1, with one
+    # factor 1 - x fewer and one 1 - x^2 more: the root 1 keeps its
+    # multiplicity, and the root -1 gains one
+    patch_product(monkeypatch, lambda p: list(poly_mul(p, (1, 1))))
+    assert root_multiplicities(m) == (m, m // 2 + 1) + tuple(m // d for d in range(3, m + 1))
+
+
+@pytest.mark.parametrize("m", [5, 13, 20])
+def test_a_product_without_one_minus_x5_undercounts(monkeypatch, m):
+    # built without 1 - x^5, so the primitive 1st and 5th roots are each one short
+    without_5 = [1, *[0] * (m * (m + 1) // 2 - 5)]
+    for k in range(1, m + 1):
+        if k != 5:
+            without_5 = mul_binomial_oracle(without_5, k)
+    patch_product(monkeypatch, lambda p: without_5)
+    assert root_multiplicities(m) == tuple(m // d - (d in (1, 5)) for d in range(1, m + 1))
+
+
+@pytest.mark.parametrize("m,passes,updates", [(34, 66, 12_563), (120, 238, 568_940)])
+def test_roots_division_work_is_pinned(monkeypatch, m, passes, updates):
+    # the prefix-divide passes the roots module makes itself, each counted
+    # as the entries it updates; building the product is not counted here.
+    # A change to this work updates the pin on purpose.
+    work = [0, 0]
+    divide = roots._div_binomial_inplace
+
+    def counting_divide(c, k):
+        work[0] += 1
+        work[1] += max(0, len(c) - k)
+        divide(c, k)
+
+    monkeypatch.setattr(roots, "_div_binomial_inplace", counting_divide)
+    assert root_multiplicities(m) == tuple(m // d for d in range(1, m + 1))
+    assert work == [passes, updates]
 
 
 def test_degree_bookkeeping():
