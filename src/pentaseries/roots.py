@@ -5,7 +5,9 @@ vanishes exactly at the n-th roots.  A primitive d-th root appears in factor
 n precisely when d divides n, so its multiplicity in the partial product is
 floor(M/d).  The check here is exact and needs no complex arithmetic and no
 numerical root-finding: build the product once and divide out the paper's
-own factors (1 - x^n), each as often as it divides.
+own factors (1 - x^n), each as often as a fold shows that it divides:
+1 - x^n divides p exactly when p is 0 modulo x^n - 1, that is, when the
+coefficients of each residue class of exponents mod n sum to 0.
 
 Counting the divisions gives exponents c_n, and a leftover quotient of
 exactly 1 certifies that the product equals prod_n (1 - x^n)^c_n.  Since
@@ -27,12 +29,13 @@ def root_multiplicities(factors: int) -> tuple[int, ...]:
     (1-x)(1-x^2)...(1-x^factors); entry d-1 is the count for d = 1..factors.
 
     The full product (degree factors(factors+1)/2, so nothing is truncated)
-    is built once.  For n = factors, ..., 1 the running quotient is divided
-    by (1 - x^n) until a prefix-divide pass leaves anything in its top n
-    entries.  A nonzero polynomial no longer than n is not divisible, so
-    each accepted division drops n entries and the loop ends.  Largest n
-    goes first: 1 - x^e divides 1 - x^n whenever e divides n, so a smaller
-    e divided out first would take the factors that belong to the larger n.
+    is built once.  For n = factors, ..., 1, while the running quotient p is
+    longer than n and its n sums sum(p[r::n]) are all 0, one prefix-divide
+    pass divides p by (1 - x^n) in place and its top n entries, now 0, are
+    dropped: the true product takes one pass per n.  Only the zero
+    polynomial, whose every fold is 0, needs the length condition to stop.
+    Largest n goes first: 1 - x^e divides 1 - x^n whenever e divides n, so a
+    smaller e divided out first would take the factors of the larger n.
     The exponents c_n are unique, since Moebius inversion fixes them from
     the multiplicities of the Phi_d.
 
@@ -44,13 +47,9 @@ def root_multiplicities(factors: int) -> tuple[int, ...]:
     p = list(partial_product(factors, factors * (factors + 1) // 2))
     exponents = [0] * (factors + 1)
     for n in range(factors, 0, -1):
-        while len(p) > n:
-            q = p.copy()
-            _div_binomial_inplace(q, n)
-            if any(q[-n:]):
-                break
-            del q[-n:]
-            p = q
+        while len(p) > n and not any(sum(p[r::n]) for r in range(n)):
+            _div_binomial_inplace(p, n)
+            del p[-n:]
             exponents[n] += 1
     if p != [1]:
         raise ArithmeticError(

@@ -1,9 +1,9 @@
 """Reference routines that only the tests call: a partition count from a
 different algorithm family, the one-entry-at-a-time partition table fill,
-per-element forms of the two binomial kernels, Euler's totient for the
-degree bookkeeping of the root multiplicities, one stage of the telescoping
-recurrences, the log-log fit of the benchmark report, and the argparse parser
-the command line was once read with."""
+per-element forms of the two binomial kernels, the trial-division count of
+the root multiplicities and Euler's totient for their degree bookkeeping,
+one stage of the telescoping recurrences, the log-log fit of the benchmark
+report, and the argparse parser the command line was once read with."""
 
 import argparse
 import math
@@ -11,6 +11,7 @@ from itertools import islice
 
 from pentaseries import telescoping
 from pentaseries.pentagonal import pent_terms_upto
+from pentaseries.series import _div_binomial_inplace
 
 
 def partition_bruteforce(n):
@@ -67,6 +68,29 @@ def div_binomial_oracle(c, k):
     for i, ci in enumerate(c):
         q.append(ci + q[i - k] if i >= k else ci)
     return q
+
+
+def trial_division_multiplicities(factors, product):
+    """root_multiplicities(factors) computed from the given product by the
+    route the fold replaced: for each n, divide a copy by (1 - x^n) and keep
+    it only if the pass leaves the top n entries 0."""
+    p = list(product)
+    exponents = [0] * (factors + 1)
+    for n in range(factors, 0, -1):
+        while len(p) > n:
+            q = p.copy()
+            _div_binomial_inplace(q, n)
+            if any(q[-n:]):
+                break
+            del q[-n:]
+            p = q
+            exponents[n] += 1
+    if p != [1]:
+        raise ArithmeticError(
+            f"the product is not a product of factors (1 - x^n): leftover of degree {len(p) - 1}, "
+            f"starting {p[:4]}"
+        )
+    return tuple(sum(exponents[d::d]) for d in range(1, factors + 1))
 
 
 def totient(n):

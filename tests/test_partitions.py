@@ -242,6 +242,31 @@ def test_one_fill_per_call(monkeypatch):
     assert table.values == values
 
 
+def test_fill_window_additions_are_pinned(monkeypatch):
+    # every cursor step adds one window W[m-g] into a sign's sum, and serves
+    # offset g for both entries of a pair: counted by patching iter in the
+    # partitions namespace, where the fill makes each cursor.  A change to
+    # this work updates the pin on purpose.
+    steps = 0
+
+    class CountingIterator:
+        def __init__(self, windows):
+            self.it = iter(windows)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            nonlocal steps
+            steps += 1
+            return next(self.it)
+
+    values = partitions._fill(6500)
+    monkeypatch.setattr(partitions, "iter", CountingIterator, raising=False)
+    assert partitions._fill(6500) == values
+    assert steps == 278_850
+
+
 def test_uneven_extensions_match_one_call():
     # each later call refills the table from p(0), to the same entries that
     # one call to its n gives

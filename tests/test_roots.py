@@ -7,7 +7,7 @@ from pentaseries import roots
 from pentaseries.roots import root_multiplicities
 from pentaseries.series import partial_product
 
-from oracles import mul_binomial_oracle, totient
+from oracles import mul_binomial_oracle, totient, trial_division_multiplicities
 from schoolbook import schoolbook_product
 
 CYCLOTOMIC_SMALL = {
@@ -262,8 +262,11 @@ def patch_product(monkeypatch, change):
         (lambda p: [-c for c in p], "degree 0, starting [-1]"),
         # 1 + x^2 + x^3, which no (1 - x^n) divides
         (lambda p: list(poly_mul(p, (1, 0, 1, 1))), "degree 3, starting [1, 0, 1, 1]"),
+        # every fold of the zero product is 0, so only the length condition
+        # stops its divisions
+        (lambda p: [0] * len(p), "degree 0, starting [0]"),
     ],
-    ids=["tripled", "negated", "times-1+x^2+x^3"],
+    ids=["tripled", "negated", "times-1+x^2+x^3", "zero"],
 )
 def test_a_leftover_other_than_one_raises(monkeypatch, change, leftover):
     # the tripled and negated products have every count floor(M/d), so
@@ -293,7 +296,44 @@ def test_a_product_without_one_minus_x5_undercounts(monkeypatch, m):
     assert root_multiplicities(m) == tuple(m // d - (d in (1, 5)) for d in range(1, m + 1))
 
 
-@pytest.mark.parametrize("m,passes,updates", [(34, 66, 12_563), (120, 238, 568_940)])
+def perturbed_products(rng):
+    """(form, M, coefficients) for M < 25: each product exact, with one
+    coefficient nudged, scaled, zeroed and times (1 + x^k)."""
+    for _ in range(200):
+        m = rng.randrange(25)
+        p = list(partial_product(m, m * (m + 1) // 2))
+        yield "exact", m, p
+        nudged = list(p)
+        nudged[rng.randrange(len(p))] += rng.choice((-2, -1, 1, 2))
+        yield "nudged", m, nudged
+        yield "scaled", m, [rng.choice((-3, -1, 2, 3)) * c for c in p]
+        yield "zero", m, [0] * len(p)
+        k = rng.randint(1, m + 2)
+        yield "times 1+x^k", m, [a + b for a, b in zip(p + [0] * k, [0] * k + p)]
+
+
+def outcome(count, *args):
+    try:
+        return count(*args)
+    except ArithmeticError as e:
+        return str(e)
+
+
+def test_the_fold_matches_trial_division(monkeypatch, rng):
+    # the same counts, or the same leftover message, as dividing a copy and
+    # keeping it only when the pass leaves the top n entries 0
+    returned = set()
+    for form, m, p in perturbed_products(rng):
+        monkeypatch.setattr(roots, "partial_product", lambda f, o: p)
+        expected = outcome(trial_division_multiplicities, m, p)
+        assert outcome(root_multiplicities, m) == expected, (form, m, p)
+        returned.add((form, isinstance(expected, tuple)))
+    # every form ran, and the exact products all counted
+    assert {form for form, _ in returned} == {"exact", "nudged", "scaled", "zero", "times 1+x^k"}
+    assert ("exact", False) not in returned
+
+
+@pytest.mark.parametrize("m,passes,updates", [(34, 34, 6_579), (120, 120, 288_100)])
 def test_roots_division_work_is_pinned(monkeypatch, m, passes, updates):
     # the prefix-divide passes the roots module makes itself, each counted
     # as the entries it updates; building the product is not counted here.

@@ -1,6 +1,6 @@
 import pytest
 
-from pentaseries import cli
+from pentaseries import cli, series
 from pentaseries.series import (
     _alternating_nest,
     _div_binomial_inplace,
@@ -298,6 +298,41 @@ def test_binomial_kernels_match_per_element_oracles(rng):
             got = list(c)
             kernel(got, k)
             assert got == oracle(c, k), (kernel.__name__, size, k)
+
+
+@pytest.mark.parametrize(
+    "factors,order,multiplies,divides",
+    [
+        # the products that root_multiplicities(34) and (120) build
+        (34, 595, (34, 12_529), (34, 12_562)),
+        (120, 7260, (120, 568_820), (120, 568_939)),
+        # the expand workload's largest order: factors >= order, so every
+        # multiply pass is empty
+        (2400, 2400, (68, 0), (68, 106_195)),
+    ],
+    ids=["roots-34", "roots-120", "square-2400"],
+)
+def test_product_work_is_pinned(monkeypatch, factors, order, multiplies, divides):
+    # the passes of each binomial kernel, each counted as the entries it
+    # updates.  A change to this work updates the pin on purpose.
+    work = {}
+
+    def count(name):
+        kernel = getattr(series, name)
+        work[name] = [0, 0]
+
+        def counting(c, k):
+            work[name][0] += 1
+            work[name][1] += max(0, len(c) - k)
+            kernel(c, k)
+
+        monkeypatch.setattr(series, name, counting)
+
+    count("_mul_binomial_inplace")
+    count("_div_binomial_inplace")
+    assert partial_product(factors, order) == descending_product_oracle(factors, order)
+    assert tuple(work["_mul_binomial_inplace"]) == multiplies
+    assert tuple(work["_div_binomial_inplace"]) == divides
 
 
 def test_partial_product_coefficients_stay_small():
