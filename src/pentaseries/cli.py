@@ -30,8 +30,8 @@ from .series import partial_product
 from .telescoping import identity_exponents, stream_series, verify_stage
 
 # The roots phase grows about as M^3.2 (log-log fit over M = 100..400), most
-# of it building the product: 0.5-0.7 s at M = 200, 1.9-2.4 s at 300 and
-# 5.6-6.9 s at 400 on a 2-core VM, so the cap keeps a run under half a minute.
+# of it building the product: 0.67 s at M = 200, 2.3 s at 300 and 4.7 s at
+# 400 on a 2-core VM, so the cap keeps a run well under half a minute.
 _ROOTS_LIMIT = 400
 
 
