@@ -12,19 +12,24 @@ earlier values contribute per n, so filling a table to n costs O(n^1.5)
 big-integer additions, versus O(n^2) multiplications for direct series
 inversion.  Each partition_values(n) call runs one fill, _fill, from p(0) to n
 in a new list: it takes the offsets <= n from pent_terms_upto once and makes
-two entries per addition.  Each window W[j] = p(j) + p(j+1)*2^w packs two
-neighbours into one integer, and the windows sit in two lists by the parity of
-j.  Each offset g >= 2 owns an iterator that starts at the head of list g & 1,
-so the pair p(m), p(m+1) is one sum(map(next, ...)) per recurrence sign, run in
-C, plus the offset-1 terms added by hand.  The lane width w is set once, from a
-bound on the bits of p(n) (_entry_bits), so & and >> split each sum exactly.
-Filling p(0..6500) took 22-37 ms in process on a 2-core VM with Python 3.11,
-against 47-79 ms for one entry at a time (a test oracle).  The inversion route,
-partition_series, cross-checks the fill, and the tests add a third leg.
+four entries per addition.  Each window W[j] = p(j) + p(j+1)*2^w +
+p(j+2)*2^2w + p(j+3)*2^3w packs four neighbours into one integer, and the
+windows sit in four lists by j mod 4.  Each offset g >= 5 owns an iterator
+into one of those lists, and each recurrence sign reads all its iterators as
+one zip row, so the group p(m)..p(m+3) is one sum(next(row)) per sign, with
+every iterator stepped in C; the offset-1 and offset-2 terms, which read the
+group itself, are added by hand.  The lane width w is set once, from a bound
+on the bits of p(n) (_entry_bits), so >> and & split each sum exactly.
+Filling p(0..6500) took 12.7-21.1 ms in process on a shared 2-core VM with
+Python 3.11 (quartiles of 31 interleaved runs), against 21.4-32.9 ms for the
+two-lane fill it replaced and 47-79 ms for one entry at a time (a test
+oracle).  The inversion route, partition_series, cross-checks the fill, and
+the tests add a third leg.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import isqrt
 
 from .pentagonal import closed_form_series, pent_terms_upto
@@ -44,54 +49,74 @@ def _entry_bits(n: int) -> int:
 
 
 def _fill(n: int) -> list[int]:
-    """p(0)..p(n) in a new list, by the two-lane recurrence."""
+    """p(0)..p(n) in a new list, by the four-lane recurrence."""
     # Allocate every entry first, so an n too large for memory fails here at
     # once rather than after building ~sqrt(n) offsets.
     vals = [1] + [0] * n
-    # One list iterator per offset g >= 2, added (odd k) or subtracted (even
-    # k): the recurrence sign (-1)^(k+1) is minus the series sign.  Offset 1
-    # reads W[m-1], whose high lane is the p(m) being computed, so its term is
-    # added by hand.
-    offsets = pent_terms_upto(n)[1:]
-    # Each sign's low lanes sum at most len(offsets) values p(m-g) < 2^top,
-    # so w bits hold the sum: & mask and >> w then split it with no carry.
+    # One list iterator per offset g >= 5, added (odd k) or subtracted (even
+    # k): the recurrence sign (-1)^(k+1) is minus the series sign.  Offsets 1
+    # and 2, both added, read entries of the group being computed, so their
+    # terms are added by hand.
+    offsets = pent_terms_upto(n)[2:]
+    # Each sign's lanes sum at most len(offsets) values p(m-g) < 2^top, so w
+    # bits hold each lane's sum: >> and & mask then split it with no carry.
     top = _entry_bits(n)
     w = _low_lane_bits((1 << top) - 1, len(offsets))
+    w2, w3 = 2 * w, 3 * w
     mask = (1 << w) - 1
-    # Window W[j] = p(j) + p(j+1)*2^w, with p(-1) = 0, holds two entries, so
-    # one addition of W[m-g] serves offset g for both p(m) and p(m+1).
-    # Pairs start at odd m, so wins[0] holds W[-1], W[1], W[3], ... and
-    # wins[1] holds W[0], W[2], ...: the pair (m, m+1) reads W[m-g] and the
-    # next pair W[m+2-g], so each offset's cursor steps once per pair.
-    wins: tuple[list[int], list[int]] = ([1 << w], [])
-    cursors: tuple[list, list] = ([], [])
+    # Window W[j] = p(j) + p(j+1)*2^w + p(j+2)*2^2w + p(j+3)*2^3w, with
+    # p(j) = 0 for j < 0, holds four entries, so one addition of W[m-g]
+    # serves offset g for all of p(m)..p(m+3).  Groups start at m = 1 mod 4,
+    # and wins[r] holds the W[j] with j = r mod 4, from W[-3] in wins[1]:
+    # the group at m reads W[m-g] and the next W[m+4-g], so each offset's
+    # cursor steps once per group.
+    win = 1 << w3
+    wins: tuple[list[int], ...] = ([], [win], [], [])
+    put2, put3, put0, put1 = wins[2].append, wins[3].append, wins[0].append, wins[1].append
+    # A sign's cursors are read as one zip row, rebuilt when an offset joins;
+    # each sign starts with a cursor of zeros, so a row is never empty.
+    cursors: tuple[list, list] = ([repeat(0)], [repeat(0)])
+    added_row, subtracted_row = zip(*cursors[0]), zip(*cursors[1])
     active = 0
-    for m in range(1, n + 1, 2):
-        # Offset g joins at the first pair with g <= m + 1, so g is m or
-        # m + 1 and its first window W[m-g] is W[0] or W[-1]: the head of
-        # wins[g & 1].
-        while active < len(offsets) and offsets[active].exponent <= m + 1:
+    before, last = 0, 1  # p(m-2), p(m-1)
+    for m in range(1, n + 1, 4):
+        # Offset g joins at the first group with g <= m + 3, so m - g is in
+        # -3..0 and its first window W[m-g] is the head of wins[(m-g) & 3].
+        while active < len(offsets) and offsets[active].exponent <= m + 3:
             t = offsets[active]
-            cursors[t.sign > 0].append(iter(wins[t.exponent & 1]))
+            cursors[t.sign > 0].append(iter(wins[(m - t.exponent) & 3]))
             active += 1
-        prev = vals[m - 1]
-        # p is nondecreasing, so p(m-1) bounds every value this pair reads:
+            added_row, subtracted_row = zip(*cursors[0]), zip(*cursors[1])
+        # p is nondecreasing, so p(m-1) bounds every value this group reads:
         # while it fits in top bits each split is exact, else this raises.
-        if prev.bit_length() > top:
+        if last.bit_length() > top:
             raise ArithmeticError(f"p({m - 1}) has more than {top} bits")
-        # Invariant: every window a cursor reads (W[m-g], g >= 2, so at most
-        # W[m-2]) exists before this pair reads it, as W[-1] or from the
-        # appends after the pair before.  So no cursor is exhausted and
-        # map(next, ...) cannot stop short.
-        added = sum(map(next, cursors[0]))
-        subtracted = sum(map(next, cursors[1]))
-        low = (added & mask) - (subtracted & mask) + prev
-        vals[m] = low
-        if m < n:
-            high = (added >> w) - (subtracted >> w) + low
-            vals[m + 1] = high
-            wins[1].append(prev + (low << w))
-            wins[0].append(low + (high << w))
+        # Invariant: every window a cursor reads (W[m-g], g >= 5, so at most
+        # W[m-5]) exists before this group reads it, as W[-3] or from the
+        # appends after the groups before.  So no cursor is exhausted, and a
+        # row that stopped short would raise StopIteration, never add 0.
+        added = sum(next(added_row))
+        subtracted = sum(next(subtracted_row))
+        # p(m+i) is lane i of added minus lane i of subtracted, plus the
+        # offset-1 and offset-2 terms p(m+i-1) + p(m+i-2), in order.
+        p0 = (added & mask) - (subtracted & mask) + last + before
+        p1 = (added >> w & mask) - (subtracted >> w & mask) + p0 + last
+        p2 = (added >> w2 & mask) - (subtracted >> w2 & mask) + p1 + p0
+        p3 = (added >> w3) - (subtracted >> w3) + p2 + p1
+        # A last group past n writes up to three entries that are cut below.
+        vals[m : m + 4] = p0, p1, p2, p3
+        # W[m-3]..W[m] each drop the lowest entry of the window before and
+        # take one of this group's entries as their top lane.
+        win = (win >> w) + (p0 << w3)
+        put2(win)
+        win = (win >> w) + (p1 << w3)
+        put3(win)
+        win = (win >> w) + (p2 << w3)
+        put0(win)
+        win = (win >> w) + (p3 << w3)
+        put1(win)
+        before, last = p2, p3
+    del vals[n + 1 :]
     return vals
 
 

@@ -175,7 +175,12 @@ STDOUT_DIGESTS = {
         (0, "b87f5f767abe57e226bbbed292338612c9db1b8b3c717b1f704f84d94d65befb"),
     "expand --method all --order 2400 --format json":
         (0, "aa11ed0f5271c053fc1ae09388e7a452d0b4a9c605b91079ef0840dd1f7e3c74"),
-    # odd n: the fill's last pair writes one entry
+    # the fill's groups of four start at n = 1 mod 4, so n = 6497..6500 end
+    # its last group after one, two, three and four entries: every group tail
+    "partition --n 6497":
+        (0, "83c26b29b3680a0cbd468a9356c89855c554f794064e1353c403ad8aa33694bb"),
+    "partition --n 6498":
+        (0, "f7abd64a31062db4dc6c8bafa083ea871f349176901f98d1460c27a5c11bfd70"),
     "partition --n 6499":
         (0, "9f2bcd4bea216fb764937b1a37bb4f46bace621f7f2cda58d0f4303f1855d916"),
     "partition --upto 4999 --format json":
@@ -395,6 +400,30 @@ def test_memory_error_exits_2_not_mismatch(capsys, monkeypatch):
     assert out == ""
     assert err.count("\n") == 1
     assert "out of memory" in err
+
+
+BIG = "1" + "0" * 4300  # 10^4300: 4,301 digits
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("partition", "--n", "3"), f"{BIG}\n"),
+        (("partition", "--upto", "2", "--format", "json"), f'{{"upto":2,"p":["{BIG}","{BIG}","{BIG}"]}}\n'),
+    ],
+    ids=["text", "json"],
+)
+def test_output_past_the_int_digit_limit_is_printed_whole(capsys, monkeypatch, argv, shown):
+    # p(n) passes 4,300 digits, the default int-to-str limit, near n = 1.5e7;
+    # a fill that large takes hours, so the fill is patched to return 10^4300.
+    # The command lifts the limit for its own output only.
+    monkeypatch.setattr(cli, "partition_values", lambda n: (10**4300,) * (n + 1))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert run_cli(capsys, *argv) == (0, shown, "")
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ValueError):
+            str(10**4300)
 
 
 INDEX_OVERFLOW = str(2**63)

@@ -1,9 +1,10 @@
 import operator
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from pentaseries import partitions
+from pentaseries import partitions, series
 from pentaseries.partitions import (
     PartitionTable,
     _entry_bits,
@@ -13,8 +14,9 @@ from pentaseries.partitions import (
     partition_values,
 )
 from pentaseries.pentagonal import closed_form_series, gpent, pent_terms_upto
+from pentaseries.series import series_inverse
 
-from oracles import partition_bruteforce, split_sign_fill
+from oracles import fitted_exponent, partition_bruteforce, split_sign_fill
 from schoolbook import series_product
 
 
@@ -187,11 +189,14 @@ def test_low_lane_bits_hold_the_worst_sum_and_no_fewer():
 
 
 def test_a_bound_too_small_raises_instead_of_splitting_wrong(monkeypatch):
-    # with isqrt read as 0 the bound is 5 bits, which p(10) = 42 outgrows: the
-    # guard raises before any pair reads it, so no split can go wrong silently
+    # with isqrt read as 0 the bound is 5 bits, which p(10) = 42 outgrows.  The
+    # guard runs once per group of four, at m = 1, 5, 9, 13, on p(m-1), which
+    # bounds every entry the group reads: the group at 9 reads at most p(8) =
+    # 22, and the one at 13 raises on p(12) = 77 before it reads p(10), so no
+    # split can go wrong silently
     monkeypatch.setattr(partitions, "isqrt", lambda n: 0)
     assert _entry_bits(400) == 5
-    with pytest.raises(ArithmeticError, match=r"^p\(10\) has more than 5 bits$"):
+    with pytest.raises(ArithmeticError, match=r"^p\(12\) has more than 5 bits$"):
         partitions._fill(400)
 
 
@@ -242,11 +247,11 @@ def test_one_fill_per_call(monkeypatch):
     assert table.values == values
 
 
-def test_fill_window_additions_are_pinned(monkeypatch):
-    # every cursor step adds one window W[m-g] into a sign's sum, and serves
-    # offset g for both entries of a pair: counted by patching iter in the
-    # partitions namespace, where the fill makes each cursor.  A change to
-    # this work updates the pin on purpose.
+def counted_fill(monkeypatch, n):
+    """(cursor steps, entries) of _fill(n).  Every cursor step adds one window
+    W[m-g] into a sign's sum, and serves offset g for all four entries of a
+    group: counted by patching iter in the partitions namespace, where the
+    fill makes each cursor."""
     steps = 0
 
     class CountingIterator:
@@ -261,10 +266,49 @@ def test_fill_window_additions_are_pinned(monkeypatch):
             steps += 1
             return next(self.it)
 
-    values = partitions._fill(6500)
-    monkeypatch.setattr(partitions, "iter", CountingIterator, raising=False)
-    assert partitions._fill(6500) == values
-    assert steps == 278_850
+    with monkeypatch.context() as patched:
+        patched.setattr(partitions, "iter", CountingIterator, raising=False)
+        values = partitions._fill(n)
+    return steps, values
+
+
+def test_fill_window_additions_are_pinned(monkeypatch):
+    # a change to this work updates the pin on purpose (278,850 steps with
+    # two lanes)
+    steps, values = counted_fill(monkeypatch, 6500)
+    assert values == partitions._fill(6500)
+    assert steps == 137_832
+
+
+def test_fill_work_grows_below_inversion(monkeypatch):
+    # the recurrence reads about 2*sqrt(2n/3) earlier values per entry, so its
+    # cursor steps grow about as n^1.5; series inversion makes exactly
+    # n(n+1)/2 inner-product terms, as row n pairs a[1..n] with all n entries
+    # of b so far, counted by patching reversed in the series namespace
+    sizes = (500, 1000, 2000, 4000)
+    steps = [counted_fill(monkeypatch, n)[0] for n in sizes]
+    assert steps == [2_690, 7_887, 22_890, 65_919]
+    terms = []
+
+    def counting(b):
+        terms[-1] += len(b)
+        return reversed(b)
+
+    monkeypatch.setattr(series, "reversed", counting, raising=False)
+    for n in sizes:
+        terms.append(0)
+        # a unit series keeps every product small; the term count is the same
+        series_inverse([1] + [0] * n)
+    assert terms == [n * (n + 1) // 2 for n in sizes]
+    # fitted_exponent reads the records of the bench report; here the counts
+    # stand in for the wall time
+    fill, inversion = (
+        fitted_exponent([SimpleNamespace(task="", n=n, wall_ns=c) for n, c in zip(sizes, counts)], "")
+        for counts in (steps, terms)
+    )
+    # fitted 1.54 for the fill and 2.00 for inversion
+    assert abs(fill - 1.5) < 0.1
+    assert fill < inversion
 
 
 def test_uneven_extensions_match_one_call():
@@ -287,7 +331,7 @@ def whole_table():
 def test_ramanujan_congruences_over_the_whole_table(whole_table):
     # p(5k+4) = 0 mod 5, p(7k+5) = 0 mod 7 and p(11k+6) = 0 mod 11 (Ramanujan,
     # "Some properties of p(n)", 1919) hold at every n and share no code with
-    # the two-lane fill, so they check every entry far past the n = 3001
+    # the four-lane fill, so they check every entry far past the n = 3001
     # oracles, up to 20000, in the widest lanes the suite fills
     values = whole_table
     assert len(values) == 20001
