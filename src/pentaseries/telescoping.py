@@ -30,7 +30,6 @@ Streams carry nothing but (sign, exponent) pairs.
 from __future__ import annotations
 
 import operator
-import sys
 from functools import lru_cache
 from itertools import count
 from typing import Iterator
@@ -96,17 +95,20 @@ def identity_exponents(method: str, m: int, order: int) -> tuple[int, int]:
     exceeds its index (method 1's low is >= 2m, method 2's (3m^2-m)/2 >= m),
     so m >= order fails before any stage is walked.  The emissions ascend, so
     the walk stops at the first stage that emits above the order, after at
-    most about sqrt(2 * order / 3) stages.  An order past the platform's
-    index range has no dense series at all and raises OverflowError, also
-    before any stage is walked.
+    most about sqrt(2 * order / 3) stages.  Before the walk, a dense series of
+    the order is allocated: an order past the platform's index range raises
+    OverflowError there, and one whose series does not fit in memory
+    MemoryError.
     """
     _check_stage(method, m)
     if m >= order:
         raise ValueError(
             f"order below stage emissions: stage {m} needs an exponent above {m}, got order {order}"
         )
-    if order >= sys.maxsize:
-        raise OverflowError(f"order {order} exceeds the index range")
+    # the identity is checked on dense series of order + 1 entries: one is
+    # allocated before the walk, so an order past the index range or beyond
+    # memory fails at once
+    [0] * (order + 1)
     target = m + (method == "method2")
     for stage, lo, hi, _ in _stages(method):
         if hi > order:

@@ -3,11 +3,13 @@ different algorithm family, the one-entry-at-a-time partition table fill,
 per-element forms of the two binomial kernels, the trial-division count of
 the root multiplicities and Euler's totient for their degree bookkeeping,
 one stage of the telescoping recurrences, the log-log fit of the benchmark
-report, and the argparse parser the command line was once read with."""
+report and of counted work, and the argparse parser the command line was
+once read with."""
 
 import argparse
 import math
 from itertools import islice
+from types import SimpleNamespace
 
 from pentaseries import telescoping
 from pentaseries.pentagonal import pent_terms_upto
@@ -118,6 +120,11 @@ def fitted_exponent(records, task):
     num = sum((x - mean_x) * (y - mean_y) for x, y in points)
     den = sum((x - mean_x) ** 2 for x, _ in points)
     return num / den
+
+
+def counted_exponent(sizes, counts):
+    """fitted_exponent with a count of work standing in for the wall time."""
+    return fitted_exponent([SimpleNamespace(task="", n=n, wall_ns=c) for n, c in zip(sizes, counts)], "")
 
 
 def _nonneg(text: str) -> int:

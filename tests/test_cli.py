@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pentaseries import bench, cli, partitions, roots
+from pentaseries import bench, cli, partitions, roots, telescoping
 from pentaseries.cli import canonical_json, format_series, main
 from pentaseries.partitions import partition_series
 from pentaseries.series import partial_product
@@ -320,6 +320,18 @@ def test_verify_depth_at_or_above_order_exits_2_without_walking(depth):
     assert proc.stderr == (
         f"order below stage emissions: stage {depth} needs an exponent above {depth}, got order 5\n"
     )
+
+
+def test_verify_order_beyond_memory_exits_2_without_walking(capsys, monkeypatch):
+    # about 2.5e9 stages lie below this order, but [0] * (order + 1) raises
+    # MemoryError before any is walked, and before anything is allocated
+    def no_walk(*args):
+        raise AssertionError("stages walked")
+
+    monkeypatch.setattr(telescoping, "_stages", no_walk)
+    argv = ["verify", "--depth", "4611686018427387904", "--order", "9223372036854775000"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "out of memory: verify input too large\n")
 
 
 def test_bench_csv_shape(capsys):

@@ -1,10 +1,9 @@
 import operator
 import random
-from types import SimpleNamespace
 
 import pytest
 
-from pentaseries import partitions, series
+from pentaseries import partitions
 from pentaseries.partitions import (
     PartitionTable,
     _entry_bits,
@@ -16,7 +15,7 @@ from pentaseries.partitions import (
 from pentaseries.pentagonal import closed_form_series, gpent, pent_terms_upto
 from pentaseries.series import series_inverse
 
-from oracles import fitted_exponent, partition_bruteforce, split_sign_fill
+from oracles import counted_exponent, partition_bruteforce, split_sign_fill
 from schoolbook import series_product
 
 
@@ -247,68 +246,35 @@ def test_one_fill_per_call(monkeypatch):
     assert table.values == values
 
 
-def counted_fill(monkeypatch, n):
-    """(cursor steps, entries) of _fill(n).  Every cursor step adds one window
-    W[m-g] into a sign's sum, and serves offset g for all four entries of a
-    group: counted by patching iter in the partitions namespace, where the
-    fill makes each cursor."""
-    steps = 0
-
-    class CountingIterator:
-        def __init__(self, windows):
-            self.it = iter(windows)
-
-        def __iter__(self):
-            return self
-
-        def __next__(self):
-            nonlocal steps
-            steps += 1
-            return next(self.it)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(partitions, "iter", CountingIterator, raising=False)
-        values = partitions._fill(n)
-    return steps, values
+def test_fill_window_additions_are_pinned(work):
+    # every cursor step adds one window W[m-g] into a sign's sum and serves
+    # offset g for all four entries of a group.  A change to this work
+    # updates the pin on purpose (278,850 steps with two lanes).  The
+    # metered cursors change no entry.
+    assert partitions._fill(6500) == split_sign_fill([1], 6500)
+    assert work["steps"] == 137_832
 
 
-def test_fill_window_additions_are_pinned(monkeypatch):
-    # a change to this work updates the pin on purpose (278,850 steps with
-    # two lanes)
-    steps, values = counted_fill(monkeypatch, 6500)
-    assert values == partitions._fill(6500)
-    assert steps == 137_832
-
-
-def test_fill_work_grows_below_inversion(monkeypatch):
+def test_fill_work_grows_below_inversion(work):
     # the recurrence reads about 2*sqrt(2n/3) earlier values per entry, so its
     # cursor steps grow about as n^1.5; series inversion makes exactly
     # n(n+1)/2 inner-product terms, as row n pairs a[1..n] with all n entries
-    # of b so far, counted by patching reversed in the series namespace
+    # of b so far
     sizes = (500, 1000, 2000, 4000)
-    steps = [counted_fill(monkeypatch, n)[0] for n in sizes]
-    assert steps == [2_690, 7_887, 22_890, 65_919]
-    terms = []
-
-    def counting(b):
-        terms[-1] += len(b)
-        return reversed(b)
-
-    monkeypatch.setattr(series, "reversed", counting, raising=False)
+    steps, terms = [], []
     for n in sizes:
-        terms.append(0)
+        work.clear()
+        partitions._fill(n)
         # a unit series keeps every product small; the term count is the same
         series_inverse([1] + [0] * n)
+        steps.append(work["steps"])
+        terms.append(work["terms"])
+    assert steps == [2_690, 7_887, 22_890, 65_919]
     assert terms == [n * (n + 1) // 2 for n in sizes]
-    # fitted_exponent reads the records of the bench report; here the counts
-    # stand in for the wall time
-    fill, inversion = (
-        fitted_exponent([SimpleNamespace(task="", n=n, wall_ns=c) for n, c in zip(sizes, counts)], "")
-        for counts in (steps, terms)
-    )
     # fitted 1.54 for the fill and 2.00 for inversion
+    fill = counted_exponent(sizes, steps)
     assert abs(fill - 1.5) < 0.1
-    assert fill < inversion
+    assert fill < counted_exponent(sizes, terms)
 
 
 def test_uneven_extensions_match_one_call():

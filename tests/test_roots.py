@@ -7,7 +7,7 @@ from pentaseries import roots
 from pentaseries.roots import root_multiplicities
 from pentaseries.series import partial_product
 
-from oracles import mul_binomial_oracle, totient, trial_division_multiplicities
+from oracles import counted_exponent, mul_binomial_oracle, totient, trial_division_multiplicities
 from schoolbook import schoolbook_product
 
 CYCLOTOMIC_SMALL = {
@@ -334,21 +334,32 @@ def test_the_fold_matches_trial_division(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("m,passes,updates", [(34, 34, 6_579), (120, 120, 288_100)])
-def test_roots_division_work_is_pinned(monkeypatch, m, passes, updates):
+def test_roots_division_work_is_pinned(work, m, passes, updates):
     # the prefix-divide passes the roots module makes itself, each counted
     # as the entries it updates; building the product is not counted here.
     # A change to this work updates the pin on purpose.
-    work = [0, 0]
-    divide = roots._div_binomial_inplace
-
-    def counting_divide(c, k):
-        work[0] += 1
-        work[1] += max(0, len(c) - k)
-        divide(c, k)
-
-    monkeypatch.setattr(roots, "_div_binomial_inplace", counting_divide)
     assert root_multiplicities(m) == tuple(m // d for d in range(1, m + 1))
-    assert work == [passes, updates]
+    assert work.kernel("roots", "div") == (passes, updates)
+
+
+def test_roots_work_grows_as_the_cube(work):
+    # the product of degree M(M+1)/2 is built in M levels and divided by
+    # each (1 - x^n) once, each pass at most that long: every kernel update
+    # of the call grows about as M^3
+    sizes = (10, 20, 40, 80)
+    updates = []
+    for m in sizes:
+        work.clear()
+        root_multiplicities(m)
+        updates.append(work["updates"])
+    assert updates == [754, 6_309, 51_819, 420_439]
+    # at M = 80: the build's multiply and divide updates, then the roots
+    # module's own division
+    assert work["series", "mul", "updates"] == 167_480
+    assert work["series", "div", "updates"] == 167_559
+    assert work["roots", "div", "updates"] == 85_400
+    # fitted 3.04
+    assert abs(counted_exponent(sizes, updates) - 3) < 0.1
 
 
 def test_degree_bookkeeping():

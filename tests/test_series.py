@@ -1,6 +1,6 @@
 import pytest
 
-from pentaseries import cli, series
+from pentaseries import cli
 from pentaseries.series import (
     _alternating_nest,
     _div_binomial_inplace,
@@ -9,7 +9,7 @@ from pentaseries.series import (
     series_inverse,
 )
 
-from oracles import div_binomial_oracle, mul_binomial_oracle
+from oracles import counted_exponent, div_binomial_oracle, mul_binomial_oracle
 from schoolbook import schoolbook_product, series_product
 
 
@@ -312,27 +312,29 @@ def test_binomial_kernels_match_per_element_oracles(rng):
     ],
     ids=["roots-34", "roots-120", "square-2400"],
 )
-def test_product_work_is_pinned(monkeypatch, factors, order, multiplies, divides):
+def test_product_work_is_pinned(work, factors, order, multiplies, divides):
     # the passes of each binomial kernel, each counted as the entries it
     # updates.  A change to this work updates the pin on purpose.
-    work = {}
-
-    def count(name):
-        kernel = getattr(series, name)
-        work[name] = [0, 0]
-
-        def counting(c, k):
-            work[name][0] += 1
-            work[name][1] += max(0, len(c) - k)
-            kernel(c, k)
-
-        monkeypatch.setattr(series, name, counting)
-
-    count("_mul_binomial_inplace")
-    count("_div_binomial_inplace")
     assert partial_product(factors, order) == descending_product_oracle(factors, order)
-    assert tuple(work["_mul_binomial_inplace"]) == multiplies
-    assert tuple(work["_div_binomial_inplace"]) == divides
+    assert work.kernel("series", "mul") == multiplies
+    assert work.kernel("series", "div") == divides
+
+
+def test_product_work_grows_below_inversion(work):
+    # factors = order, so every multiply pass is empty and the grouped
+    # expansion's about sqrt(2n) prefix-divide passes make about 0.94 n^1.5
+    # updates, where series inversion makes n(n+1)/2 terms, exponent 2
+    sizes = (500, 1000, 2000, 4000)
+    updates = []
+    for n in sizes:
+        work.clear()
+        partial_product(n, n)
+        updates.append(work["updates"])
+    assert updates == [9_605, 27_907, 80_459, 230_695]
+    # fitted 1.53
+    exponent = counted_exponent(sizes, updates)
+    assert abs(exponent - 1.5) < 0.1
+    assert exponent < counted_exponent(sizes, [n * (n + 1) // 2 for n in sizes])
 
 
 def test_partial_product_coefficients_stay_small():

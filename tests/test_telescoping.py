@@ -1,15 +1,13 @@
 import operator
 import sys
 from itertools import islice
-from types import SimpleNamespace
 
 import pytest
 
-from pentaseries import series, telescoping
+from pentaseries import telescoping
 from pentaseries.pentagonal import closed_form_series, pent_terms_upto
 from pentaseries.series import (
     Term,
-    _div_binomial_inplace,
     _mul_binomial_inplace,
     partial_product,
 )
@@ -20,7 +18,7 @@ from pentaseries.telescoping import (
     verify_stage,
 )
 
-from oracles import fitted_exponent, stage_of
+from oracles import counted_exponent, stage_of
 
 
 def residual_oracle(method, m, order):
@@ -387,23 +385,16 @@ def test_residual_matches_summation_oracle_edge_orders(method):
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_second_method_reuses_the_nested_sum(monkeypatch, m):
+def test_second_method_reuses_the_nested_sum(work, m):
     # stage m's two residuals need V_m to the same length, so once method 1
     # has built it, method 2 makes no prefix-divide pass of its own
-    passes = []
-
-    def counting(c, k):
-        passes.append(k)
-        _div_binomial_inplace(c, k)
-
     residual_series.cache_clear()
     telescoping._nested_sum.cache_clear()
-    monkeypatch.setattr(series, "_div_binomial_inplace", counting)
     first = residual_series("method1", m, 200)
-    assert len(passes) >= 1
-    passes.clear()
+    assert work["series", "div", "passes"] >= 1
+    work.clear()
     second = residual_series("method2", m, 200)
-    assert passes == []
+    assert work["series", "div", "passes"] == 0
     assert first == summation_residual_oracle("method1", m, 200)
     assert second == summation_residual_oracle("method2", m, 200)
 
@@ -426,26 +417,18 @@ def test_nested_sum_matches_the_horner_oracle_at_group_edges():
                 assert telescoping._nested_sum(m, length) == v_oracle(m, length), (m, i, length)
 
 
-def test_nested_sum_work_grows_below_quadratic(monkeypatch):
+def test_nested_sum_work_grows_below_quadratic(work):
     # W_m's own nest makes about length^2 / (2m) updates; the grouped form
     # makes about sqrt(2 * length) prefix-divide passes of at most length each
+    sizes = (250, 500, 1000, 2000, 4000)
     updates = []
-
-    def counting(c, k):
-        updates[-1] += max(0, len(c) - k)
-        _div_binomial_inplace(c, k)
-
-    monkeypatch.setattr(series, "_div_binomial_inplace", counting)
-    records = []
-    for length in (250, 500, 1000, 2000, 4000):
+    for length in sizes:
         telescoping._nested_sum.cache_clear()
-        updates.append(0)
+        work.clear()
         telescoping._nested_sum(1, length)
-        # fitted_exponent reads the records of the bench report; here the
-        # update count stands in for the wall time
-        records.append(SimpleNamespace(task="nested", n=length, wall_ns=updates[-1]))
-    assert records[2].wall_ns == 26076
-    assert fitted_exponent(records, "nested") < 1.7
+        updates.append(work["series", "div", "updates"])
+    assert updates[2] == 26076
+    assert counted_exponent(sizes, updates) < 1.7
 
 
 @pytest.mark.parametrize("m", [10**9, 2**63 + 1], ids=["huge", "past-index-range"])
