@@ -10,7 +10,7 @@ from .bench import BenchRecord, run_bench
 from .partitions import iterated_division_check, partition_series, partition_values
 from .pentagonal import closed_form_series, gpent, pent_sign, pent_terms_upto
 from .roots import root_multiplicities
-from .series import Term, partial_product, series_inverse
+from .series import Term, product_series, series_inverse
 from .telescoping import identity_exponents, residual_series, stream_series, verify_stage
 
 __all__ = [
@@ -20,11 +20,11 @@ __all__ = [
     "gpent",
     "identity_exponents",
     "iterated_division_check",
-    "partial_product",
     "partition_series",
     "partition_values",
     "pent_sign",
     "pent_terms_upto",
+    "product_series",
     "residual_series",
     "root_multiplicities",
     "run_bench",

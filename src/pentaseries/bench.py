@@ -14,7 +14,7 @@ import time
 from typing import NamedTuple
 
 from .partitions import partition_series, partition_values
-from .series import partial_product
+from .series import product_series
 
 REPETITIONS = 5
 
@@ -28,7 +28,7 @@ class BenchRecord(NamedTuple):
 
 # Each task returns the coefficient sequence it computed.
 _TASKS = (
-    ("product", lambda n: partial_product(n, n)),
+    ("product", product_series),
     ("partition_inverse", partition_series),
     ("partition_recurrence", partition_values),
 )

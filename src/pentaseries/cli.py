@@ -26,12 +26,12 @@ from .bench import BenchRecord, run_bench
 from .partitions import iterated_division_check, partition_values
 from .pentagonal import closed_form_series
 from .roots import root_multiplicities
-from .series import partial_product
+from .series import product_series
 from .telescoping import identity_exponents, stream_series, verify_stage
 
-# The roots phase grows about as M^3.2 (log-log fit over M = 100..400), most
-# of it building the product: 0.67 s at M = 200, 2.3 s at 300 and 4.7 s at
-# 400 on a 2-core VM, so the cap keeps a run well under half a minute.
+# The roots phase takes 0.19 s at M = 200, 0.72 s at 300 and 2.0 s at 400 in
+# process on a 2-core VM (about M^3.4: M^3 kernel updates on ever wider ints,
+# a third of them the build), so the cap keeps a run well under half a minute.
 _ROOTS_LIMIT = 400
 
 
@@ -92,7 +92,7 @@ def format_series(s: tuple[int, ...]) -> str:
 # function up when it is called, so a rebinding of the module name (a test's
 # monkeypatch, the benchmark's tracer) is the function that runs.
 _EXPANSIONS = {
-    "product": lambda order: partial_product(order, order),
+    "product": lambda order: product_series(order),
     "method1": lambda order: stream_series("method1", order),
     "method2": lambda order: stream_series("method2", order),
     "closed": lambda order: closed_form_series(order),

@@ -21,7 +21,17 @@ its own unrelated roots, and nothing is claimed about where those lie.
 
 from __future__ import annotations
 
-from .series import _div_binomial_inplace, partial_product
+from .series import _div_binomial_inplace, _mul_binomial_inplace
+
+
+def _full_product(m: int) -> list[int]:
+    """(1-x)(1-x^2)...(1-x^m) untruncated: for n = 1..m, n new top zeros and
+    one multiply pass by (1 - x^n), m + (m-1)m(m+1)/6 updates in all."""
+    p = [1]
+    for n in range(1, m + 1):
+        p += [0] * n
+        _mul_binomial_inplace(p, n)
+    return p
 
 
 def root_multiplicities(factors: int) -> tuple[int, ...]:
@@ -37,14 +47,15 @@ def root_multiplicities(factors: int) -> tuple[int, ...]:
     Largest n goes first: 1 - x^e divides 1 - x^n whenever e divides n, so a
     smaller e divided out first would take the factors of the larger n.
     The exponents c_n are unique, since Moebius inversion fixes them from
-    the multiplicities of the Phi_d.
+    the multiplicities of the Phi_d.  Dividing the true product updates as
+    many entries as building it.
 
     Raises ArithmeticError, naming the degree and first coefficients of the
     leftover, when the quotient left at the end is not exactly 1.
     """
     if factors < 0:
         raise ValueError("negative factor count")
-    p = list(partial_product(factors, factors * (factors + 1) // 2))
+    p = _full_product(factors)
     exponents = [0] * (factors + 1)
     for n in range(factors, 0, -1):
         while len(p) > n and not any(sum(p[r::n]) for r in range(n)):

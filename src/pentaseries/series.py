@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Sequence
+from itertools import count
 from typing import NamedTuple
 
 
@@ -59,16 +60,13 @@ def series_inverse(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(b)
 
 
-def _alternating_nest(length: int, levels: Iterable[tuple[int, int, int]]) -> tuple[int, ...]:
-    """sum over i >= 0 of (-1)^i x^(e_i) R_1...R_i modulo x^length.
+def _alternating_nest(length: int, levels: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """sum over i >= 0 of (-1)^i x^(e_i) / ((1 - x^b_1)...(1 - x^b_i)) modulo x^length.
 
-    Level i is (gap, a, b): e_0 = 0, e_i = e_(i-1) + gap with gap >= 1, and
-    R_i = (1 - x^a) / (1 - x^b).  Levels are read only while e_i < length,
-    so an endless iterable is fine.  The sum is evaluated in nested (Horner)
-    form from the innermost such level outward: level i is kept modulo
-    x^(length - e_(i-1)) and costs one multiply pass by (1 - x^a), empty
-    once a reaches the level's length, one prefix-divide pass by (1 - x^b)
-    and one prepend.  A length below 1 gives the empty tuple.
+    Level i is (gap, b) with gap = e_i - e_(i-1) >= 1 and e_0 = 0; levels are
+    read only while e_i < length, so an endless iterable is fine.  In nested
+    (Horner) form from the innermost level outward, level i is kept modulo
+    x^(length - e_(i-1)) at one prefix-divide pass by (1 - x^b) and a prepend.
     """
     if length < 1:
         return ()
@@ -85,32 +83,24 @@ def _alternating_nest(length: int, levels: Iterable[tuple[int, int, int]]) -> tu
     # innermost nest is 1, cut to the length its x^(e_i) leaves.
     del c[length - e :]
     sign = c[0] = -1 if len(kept) % 2 else 1
-    for gap, a, b in reversed(kept):
-        _mul_binomial_inplace(c, a)
+    for gap, b in reversed(kept):
         _div_binomial_inplace(c, b)
         sign = -sign
         c[:0] = [sign] + [0] * (gap - 1)
     return tuple(c)
 
 
-def partial_product(factors: int, order: int) -> tuple[int, ...]:
-    """Expand (1-x)(1-x^2)...(1-x^factors) modulo x^(order+1).
+def product_series(order: int) -> tuple[int, ...]:
+    """Expand (1-x)(1-x^2)(1-x^3)... modulo x^(order+1) by Euler's identity,
+    which groups the terms by the number j of factors that contribute -x^k:
 
-    The terms are grouped by the number j of factors that contribute their
-    -x^k.  Picking -x^k from j distinct factors k <= factors gives
-    (-1)^j x^(j(j+1)/2) [factors choose j]_x (the finite q-binomial theorem),
-    and consecutive groups differ by the ratio -x^j (1 - x^(factors-j+1)) /
-    (1 - x^j).  So the product is the alternating nest (_alternating_nest)
-    with levels (j, factors-j+1, j) for j = 1..factors.  Only j with
-    j(j+1)/2 <= order reach the order, about sqrt(2 * order) of them, and
-    each level's multiply pass is empty when factors >= order.  With factors
-    = order that is about 0.94 * order^1.5 element updates instead of the
-    order^2/4 of one pass per factor: about 7 ms instead of 60 ms at order
-    2400 and 50 ms instead of 0.8 s at order 8000 (2-core VM, Python 3.11).
-    factors = 0 yields the constant series 1.
+        prod over n >= 1 of (1 - x^n) = sum over j >= 0 of (-1)^j x^(j(j+1)/2) / ((1 - x)...(1 - x^j)).
+
+    That is the alternating nest (_alternating_nest) with levels (j, j).  Only
+    the j with j(j+1)/2 <= order reach the order, about sqrt(2 * order) of them,
+    each one prefix-divide pass: about 0.94 * order^1.5 element updates, where
+    one multiply pass per factor makes order^2/4.
     """
-    if factors < 0:
-        raise ValueError("negative factor count")
     if order < 0:
         raise ValueError("negative order")
-    return _alternating_nest(order + 1, ((j, factors - j + 1, j) for j in range(1, factors + 1)))
+    return _alternating_nest(order + 1, ((j, j) for j in count(1)))

@@ -146,12 +146,11 @@ def _nested_sum(m: int, length: int) -> tuple[int, ...]:
 
     with e_0 = 0, e_1 = m + 1 and e_i - e_(i-1) = 2m + i after that.  That is
     the alternating nest (see series._alternating_nest) with levels
-    (e_i - e_(i-1), length, m + i): (1 - x^length) is 1 mod x^length, so each
-    level's multiply pass is empty.  Only the i with e_i < length reach the
-    length, about sqrt(2 * length) of them instead of the length / m levels
-    of W_m's own nest.
+    (e_i - e_(i-1), m + i).  Only the i with e_i < length reach the length,
+    about sqrt(2 * length) of them instead of the length / m levels of W_m's
+    own nest.
     """
-    return _alternating_nest(length, ((2 * m + i if i > 1 else m + 1, length, m + i) for i in count(1)))
+    return _alternating_nest(length, ((2 * m + i if i > 1 else m + 1, m + i) for i in count(1)))
 
 
 @lru_cache(maxsize=256)

@@ -19,7 +19,7 @@ from pentaseries.partitions import (
     partition_values,
 )
 from pentaseries.pentagonal import closed_form_series, pent_terms_upto
-from pentaseries.series import partial_product
+from pentaseries.series import product_series
 from pentaseries.telescoping import verify_stage
 from pentaseries.roots import root_multiplicities
 
@@ -36,7 +36,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_product_equals_closed_form():
     n = 2000
     start = time.perf_counter()
-    product = partial_product(n, n)
+    product = product_series(n)
     closed = closed_form_series(n)
     elapsed = time.perf_counter() - start
 
@@ -62,7 +62,7 @@ def test_criterion_2_golden_prefix():
         coeffs[e] = c
     expected = tuple(coeffs)
     got_closed = closed_form_series(51)
-    got_product = partial_product(51, 51)
+    got_product = product_series(51)
     ok = got_closed == expected and got_product == expected
     report("criterion 2: golden prefix through x^51", ok)
     assert got_closed == expected

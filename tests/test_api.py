@@ -16,7 +16,7 @@ SRC = Path(pentaseries.__file__).resolve().parent
 # points that compute, count and check.
 ROOTS = {
     ("cli", "main"),
-    ("series", "partial_product"),
+    ("series", "product_series"),
     ("partitions", "partition_values"),
     ("telescoping", "verify_stage"),
     ("roots", "root_multiplicities"),
@@ -140,22 +140,24 @@ def test_every_public_name_is_reachable_from_a_root():
 # alone and must not reach what its row names: a whole module, or one
 # definition as "module.name".
 ROUTES = {
-    ("series", "partial_product"): {"pentagonal", "telescoping", "partitions"},
+    ("series", "product_series"): {"pentagonal", "telescoping", "partitions"},
     ("telescoping", "stream_series"): {
-        "pentagonal", "partitions", "series.partial_product", "series._alternating_nest",
+        "pentagonal", "partitions", "series.product_series", "series._alternating_nest",
     },
     ("pentagonal", "closed_form_series"): {
-        "telescoping", "partitions", "series.partial_product", "series._alternating_nest",
+        "telescoping", "partitions", "series.product_series", "series._alternating_nest",
     },
     ("telescoping", "verify_stage"): {
-        "pentagonal", "partitions", "telescoping.stream_series", "series.partial_product",
+        "pentagonal", "partitions", "telescoping.stream_series", "series.product_series",
     },
-    ("roots", "root_multiplicities"): {"pentagonal", "telescoping", "partitions"},
+    ("roots", "root_multiplicities"): {
+        "pentagonal", "telescoping", "partitions", "series.product_series", "series._alternating_nest",
+    },
     ("partitions", "partition_values"): {
-        "series.series_inverse", "series.partial_product", "telescoping",
+        "series.series_inverse", "series.product_series", "telescoping",
     },
     ("partitions", "partition_series"): {
-        "partitions._fill", "telescoping", "series.partial_product",
+        "partitions._fill", "telescoping", "series.product_series",
     },
 }
 
@@ -163,10 +165,8 @@ ROUTES = {
 # A new shared definition fails the test below until it is added here.
 SHARED = {
     ("series", "Term"): "the one sparse term type",
-    ("series", "_mul_binomial_inplace"): "a kernel: the multiply pass by (1 - x^k)",
     ("series", "_div_binomial_inplace"): "a kernel: the prefix-divide pass by (1 - x^k)",
-    ("series", "_alternating_nest"): "a kernel: the q-binomial nest of the product and of V_m",
-    ("series", "partial_product"): "the polynomial whose roots the roots route counts",
+    ("series", "_alternating_nest"): "a kernel: the alternating nest of the product and of V_m",
     ("telescoping", "_stages"): "the stage walk that the streams and the residuals both take",
     ("telescoping", "_METHODS"): "the two method names, which both telescoping routes accept",
     ("telescoping", "_check_method"): "the check of a method name against _METHODS",
@@ -229,7 +229,7 @@ def test_no_module_object_is_imported():
 
 # Every series producer, as a function of the order alone.
 PRODUCERS = {
-    "partial_product": lambda n: pentaseries.partial_product(n, n),
+    "product_series": pentaseries.product_series,
     "stream_series method1": lambda n: pentaseries.stream_series("method1", n),
     "stream_series method2": lambda n: pentaseries.stream_series("method2", n),
     "closed_form_series": pentaseries.closed_form_series,

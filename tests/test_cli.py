@@ -12,7 +12,6 @@ import pytest
 from pentaseries import bench, cli, partitions, roots, telescoping
 from pentaseries.cli import canonical_json, format_series, main
 from pentaseries.partitions import partition_series
-from pentaseries.series import partial_product
 from pentaseries.telescoping import verify_stage
 
 from oracles import argparse_oracle, stage_of
@@ -232,7 +231,8 @@ def test_verify_fails_a_product_with_a_leftover(capsys, monkeypatch, scale):
     # every count of such a product is floor(M/d); only its leftover differs
     argv = ("verify", "--depth", "2", "--order", "60", "--roots", "12")
     _, passing, _ = run_cli(capsys, *argv)
-    monkeypatch.setattr(roots, "partial_product", lambda f, o: [scale * c for c in partial_product(f, o)])
+    full_product = roots._full_product
+    monkeypatch.setattr(roots, "_full_product", lambda m: [scale * c for c in full_product(m)])
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     stage_lines = [line for line in passing.splitlines() if not line.startswith("root ")][:-1]
@@ -506,6 +506,26 @@ def test_expand_all_mismatch_names_first_difference(capsys, monkeypatch):
     assert err.splitlines() == [
         "method1: first difference at x^17: product 0, method1 3",
         "method2: first difference at x^17: product 0, method2 3",
+    ]
+
+
+def test_expand_all_checks_against_the_product_looked_up_at_call_time(capsys, monkeypatch):
+    # the product is the reference route: rebound with one wrong coefficient,
+    # all three other routes disagree with it at that exponent
+    product_series = cli.product_series
+
+    def nudged(order):
+        c = list(product_series(order))
+        c[9] -= 1
+        return tuple(c)
+
+    monkeypatch.setattr(cli, "product_series", nudged)
+    code, out, err = run_cli(capsys, "expand", "--method", "all", "--order", "30")
+    assert code == 1
+    assert out.splitlines()[0].startswith("1 - x - x^2 + x^5 + x^7 - x^9 - x^12")
+    assert out.splitlines()[1:] == ["method1: MISMATCH", "method2: MISMATCH", "closed: MISMATCH", "methods disagree"]
+    assert err.splitlines() == [
+        f"{name}: first difference at x^9: product -1, {name} 0" for name in ("method1", "method2", "closed")
     ]
 
 

@@ -6,7 +6,7 @@ from pentaseries.pentagonal import (
     pent_sign,
     pent_terms_upto,
 )
-from pentaseries.series import Term, partial_product
+from pentaseries.series import Term, product_series
 
 
 @pytest.mark.parametrize(
@@ -73,9 +73,9 @@ def test_closed_form_small_orders():
 
 def test_closed_form_equals_product():
     for n in (0, 1, 17, 300):
-        assert closed_form_series(n) == partial_product(n, n)
+        assert closed_form_series(n) == product_series(n)
 
 
 def test_closed_form_equals_product_at_order_20000():
     # ten times criterion 1's order: the product's nest runs 199 levels
-    assert closed_form_series(20000) == partial_product(20000, 20000)
+    assert closed_form_series(20000) == product_series(20000)

@@ -4,8 +4,7 @@ from functools import lru_cache
 import pytest
 
 from pentaseries import roots
-from pentaseries.roots import root_multiplicities
-from pentaseries.series import partial_product
+from pentaseries.roots import _full_product, root_multiplicities
 
 from oracles import counted_exponent, mul_binomial_oracle, totient, trial_division_multiplicities
 from schoolbook import schoolbook_product
@@ -226,13 +225,13 @@ def test_multiplicities_match_per_d_oracle():
 def test_multiplicities_build_the_product_once(monkeypatch):
     calls = []
 
-    def counting_partial_product(factors, order):
-        calls.append((factors, order))
-        return partial_product(factors, order)
+    def counting_full_product(m):
+        calls.append(m)
+        return _full_product(m)
 
-    monkeypatch.setattr(roots, "partial_product", counting_partial_product)
+    monkeypatch.setattr(roots, "_full_product", counting_full_product)
     assert root_multiplicities(20) == tuple(20 // d for d in range(1, 21))
-    assert calls == [(20, 210)]
+    assert calls == [20]
 
 
 @pytest.mark.parametrize("m", [1, 5, 30])
@@ -251,8 +250,9 @@ def test_multiplicity_divides_the_full_product(monkeypatch, m):
 
 
 def patch_product(monkeypatch, change):
-    """Make roots build change(the product's coefficients) instead."""
-    monkeypatch.setattr(roots, "partial_product", lambda f, o: change(partial_product(f, o)))
+    """Make roots build change(the product's coefficients) instead; each
+    build returns a new list, which the division may change in place."""
+    monkeypatch.setattr(roots, "_full_product", lambda m: list(change(_full_product(m))))
 
 
 @pytest.mark.parametrize(
@@ -301,7 +301,7 @@ def perturbed_products(rng):
     coefficient nudged, scaled, zeroed and times (1 + x^k)."""
     for _ in range(200):
         m = rng.randrange(25)
-        p = list(partial_product(m, m * (m + 1) // 2))
+        p = _full_product(m)
         yield "exact", m, p
         nudged = list(p)
         nudged[rng.randrange(len(p))] += rng.choice((-2, -1, 1, 2))
@@ -324,7 +324,8 @@ def test_the_fold_matches_trial_division(monkeypatch, rng):
     # keeping it only when the pass leaves the top n entries 0
     returned = set()
     for form, m, p in perturbed_products(rng):
-        monkeypatch.setattr(roots, "partial_product", lambda f, o: p)
+        # a copy, as the division changes the list it is given
+        monkeypatch.setattr(roots, "_full_product", lambda _: list(p))
         expected = outcome(trial_division_multiplicities, m, p)
         assert outcome(root_multiplicities, m) == expected, (form, m, p)
         returned.add((form, isinstance(expected, tuple)))
@@ -335,11 +336,13 @@ def test_the_fold_matches_trial_division(monkeypatch, rng):
 
 @pytest.mark.parametrize("m,passes,updates", [(34, 34, 6_579), (120, 120, 288_100)])
 def test_roots_division_work_is_pinned(work, m, passes, updates):
-    # the prefix-divide passes the roots module makes itself, each counted
-    # as the entries it updates; building the product is not counted here.
-    # A change to this work updates the pin on purpose.
+    # the prefix-divide passes that divide the product and the multiply
+    # passes that build it, each counted as the entries it updates: one of
+    # each per factor, and the same count.  A change to this work updates
+    # the pin on purpose.
     assert root_multiplicities(m) == tuple(m // d for d in range(1, m + 1))
     assert work.kernel("roots", "div") == (passes, updates)
+    assert work.kernel("roots", "mul") == (passes, updates)
 
 
 def test_roots_work_grows_as_the_cube(work):
@@ -352,14 +355,20 @@ def test_roots_work_grows_as_the_cube(work):
         work.clear()
         root_multiplicities(m)
         updates.append(work["updates"])
-    assert updates == [754, 6_309, 51_819, 420_439]
-    # at M = 80: the build's multiply and divide updates, then the roots
-    # module's own division
-    assert work["series", "mul", "updates"] == 167_480
-    assert work["series", "div", "updates"] == 167_559
-    assert work["roots", "div", "updates"] == 85_400
-    # fitted 3.04
+    assert updates == [350, 2_700, 21_400, 170_800]
+    # at M = 80: the build's multiply updates and the division's, all in
+    # roots, which reaches no route of the series module
+    assert work["roots", "mul", "updates"] == work["roots", "div", "updates"] == 85_400
+    assert work["series", "mul", "updates"] == work["series", "div", "updates"] == 0
+    # fitted 2.98
     assert abs(counted_exponent(sizes, updates) - 3) < 0.1
+    # exactly M + (M-1)M(M+1)/6 updates each to build and to divide, at every M to 40
+    counts = []
+    for m in range(41):
+        work.clear()
+        root_multiplicities(m)
+        counts.append(work["updates"])
+    assert counts == [2 * (m + (m - 1) * m * (m + 1) // 6) for m in range(41)]
 
 
 def test_degree_bookkeeping():

@@ -1,11 +1,12 @@
 import pytest
 
 from pentaseries import cli
+from pentaseries.roots import _full_product
 from pentaseries.series import (
     _alternating_nest,
     _div_binomial_inplace,
     _mul_binomial_inplace,
-    partial_product,
+    product_series,
     series_inverse,
 )
 
@@ -44,8 +45,7 @@ def test_mul_geometric_collapses():
 
 
 def test_mul_three_binomials():
-    a = partial_product(3, 10)
-    assert a == (1, -1, -1, 0, 1, 1, -1, 0, 0, 0, 0)
+    assert _full_product(3) == [1, -1, -1, 0, 1, 1, -1]
 
 
 def test_mul_matches_oracle(rng):
@@ -139,26 +139,23 @@ def test_inverse_is_right_inverse(rng):
 
 
 def test_partial_product_edges():
-    assert partial_product(0, 5) == (1, 0, 0, 0, 0, 0)
-    assert partial_product(3, 10) == (1, -1, -1, 0, 1, 1, -1, 0, 0, 0, 0)
-    assert partial_product(12, 12) == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
-    with pytest.raises(ValueError, match="^negative factor count$"):
-        partial_product(-1, 5)
+    assert product_series(0) == (1,)
+    assert product_series(12) == (1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1)
+    assert _full_product(0) == [1]
     with pytest.raises(ValueError, match="^negative order$"):
-        partial_product(5, -1)
+        product_series(-1)
 
 
-def test_partial_product_matches_repeated_mul(rng):
-    n = 25
-    expected = [1] + [0] * n
+def test_partial_product_matches_repeated_mul():
+    expected = [1] + [0] * 21
     for k in range(1, 7):
         _mul_binomial_inplace(expected, k)
-    assert partial_product(6, n) == tuple(expected)
+    assert _full_product(6) == expected
 
 
 def ascending_product_oracle(factors, order):
     """The ascending one-comprehension-per-factor loop, kept as the oracle
-    for partial_product's largest-first passes; it shares no kernel."""
+    of the partial product (1-x)...(1-x^factors); it shares no kernel."""
     c = [0] * (order + 1)
     c[0] = 1
     for k in range(1, factors + 1):
@@ -170,10 +167,6 @@ def ascending_product_oracle(factors, order):
 def descending_product_oracle(factors, order):
     """The largest-first loop that ran one binomial pass per factor, kept as
     the oracle of the expansion grouped by contributing factors."""
-    if factors < 0:
-        raise ValueError("negative factor count")
-    if order < 0:
-        raise ValueError("negative order")
     c = [0] * (order + 1)
     c[0] = 1
     for k in range(min(factors, order), 0, -1):
@@ -182,63 +175,66 @@ def descending_product_oracle(factors, order):
 
 
 def test_partial_product_matches_ascending_oracle_grid():
-    # includes order 0 and factors above the order
+    # includes order 0; no factor above the order changes the series
     for factors in range(41):
-        for order in range(61):
-            assert partial_product(factors, order) == ascending_product_oracle(factors, order)
+        for order in range(min(factors, 60) + 1):
+            assert product_series(order) == ascending_product_oracle(factors, order)
 
 
 def test_partial_product_matches_ascending_oracle_square():
-    # odd and even n, so both parities of the empty-tail boundary 2k >= n
+    # odd and even n
     for n in [*range(41, 600, 13), 600]:
-        assert partial_product(n, n) == ascending_product_oracle(n, n)
+        assert product_series(n) == ascending_product_oracle(n, n)
 
 
 def test_partial_product_matches_ascending_oracle_roots_shapes():
     # the (M, M(M+1)/2) products that root_multiplicities divides
-    for m in range(31):
+    for m in range(41):
         order = m * (m + 1) // 2
-        assert partial_product(m, order) == ascending_product_oracle(m, order)
+        assert tuple(_full_product(m)) == ascending_product_oracle(m, order)
 
 
 def test_partial_product_matches_descending_oracle_grid():
     for factors in range(41):
-        for order in range(61):
-            assert partial_product(factors, order) == descending_product_oracle(factors, order)
+        for order in range(min(factors, 60) + 1):
+            assert product_series(order) == descending_product_oracle(factors, order)
 
 
 def test_partial_product_matches_descending_oracle_square():
     # up to the expand workload's largest order; the level count steps from
     # 67 to 68 between 2345 and 2346 = 68 * 69 / 2
     for n in [*range(41, 600, 13), 600, 1199, 1200, 1800, 2345, 2346, 2399, 2400]:
-        assert partial_product(n, n) == descending_product_oracle(n, n)
+        assert product_series(n) == descending_product_oracle(n, n)
 
 
 def test_partial_product_matches_descending_oracle_roots_shapes():
-    # every level's multiply pass is non-empty at the (M, M(M+1)/2) shapes
     for m in range(41):
         order = m * (m + 1) // 2
-        assert partial_product(m, order) == descending_product_oracle(m, order)
+        assert tuple(_full_product(m)) == descending_product_oracle(m, order)
 
 
 @pytest.mark.parametrize("factors, order", [(0, 1000), (2500, 0), (1000, 45), (10**18, 40)])
 def test_partial_product_matches_descending_oracle_edges(factors, order):
-    # factors = 0, order = 0 and factors above the order, past the grid
-    assert partial_product(factors, order) == descending_product_oracle(factors, order)
+    # past the grid: order 0 and factors far above the order for the series,
+    # and the full product of no factors, zero-padded to the order
+    if factors >= order:
+        assert product_series(order) == descending_product_oracle(factors, order)
+    else:
+        p = _full_product(factors)
+        assert tuple(p + [0] * (order + 1 - len(p))) == descending_product_oracle(factors, order)
 
 
 def nest_oracle(length, levels):
     """The alternating nest with each group expanded on its own and summed:
-    (-1)^i x^(e_i) (1 - x^a_1)...(1 - x^a_i) times the geometric series of
-    each 1 / (1 - x^b_k), all by schoolbook products, for every e_i < length."""
+    (-1)^i x^(e_i) times the geometric series of each 1 / (1 - x^b_k), all
+    by schoolbook products, for every e_i < length."""
     total = [0] * length
     e, group = 0, [1] + [0] * length
-    for i, (gap, a, b) in enumerate([(0, None, None), *levels]):
+    for i, (gap, b) in enumerate([(0, None), *levels]):
         if i:
             e += gap
-            binomial = [1] + [0] * (a - 1) + [-1]
             geometric = [int(j % b == 0) for j in range(length)]
-            group = schoolbook_product(schoolbook_product(group, binomial, length), geometric, length)
+            group = schoolbook_product(group, geometric, length)
         if e >= length:
             break
         for j in range(length - e):
@@ -258,29 +254,13 @@ def read_below(length, levels):
 def test_alternating_nest_matches_groups_expanded_alone(rng):
     for _ in range(400):
         length = rng.randint(0, 60)
-        # gaps of 1 included, numerators both below and at or past the length
+        # gaps of 1 included, denominators both below and at or past the length
         levels = [
-            (rng.choice((1, 1, 2, 3, 5, 8)), rng.randint(1, 2 * length + 2), rng.randint(1, 9))
+            (rng.choice((1, 1, 2, 3, 5, 8)), rng.randint(1, length + 2))
             for _ in range(rng.randint(0, 12))
         ]
         got = _alternating_nest(length, read_below(length, levels))
         assert got == nest_oracle(length, levels), (length, levels)
-
-
-def test_binomial_kernel_zero_prefix_matches_full_pass(rng):
-    for _ in range(400):
-        size = rng.randint(1, 40)
-        k = rng.randint(1, size + 2)
-        zeros = rng.randint(0, size + 2)
-        c = [rng.randint(-(10**40), 10**40) for _ in range(size)]
-        # the zero prefix c[1..j] that partial_product's levels pass in
-        c[1 : zeros + 1] = [0] * len(c[1 : zeros + 1])
-        full = list(c)
-        _mul_binomial_inplace(full, k)
-        if k < size:
-            assert full[k:] == [hi - lo for hi, lo in zip(c[k:], c)]
-        else:
-            assert full == c
 
 
 def test_binomial_kernels_match_per_element_oracles(rng):
@@ -300,35 +280,24 @@ def test_binomial_kernels_match_per_element_oracles(rng):
             assert got == oracle(c, k), (kernel.__name__, size, k)
 
 
-@pytest.mark.parametrize(
-    "factors,order,multiplies,divides",
-    [
-        # the products that root_multiplicities(34) and (120) build
-        (34, 595, (34, 12_529), (34, 12_562)),
-        (120, 7260, (120, 568_820), (120, 568_939)),
-        # the expand workload's largest order: factors >= order, so every
-        # multiply pass is empty
-        (2400, 2400, (68, 0), (68, 106_195)),
-    ],
-    ids=["roots-34", "roots-120", "square-2400"],
-)
-def test_product_work_is_pinned(work, factors, order, multiplies, divides):
-    # the passes of each binomial kernel, each counted as the entries it
-    # updates.  A change to this work updates the pin on purpose.
-    assert partial_product(factors, order) == descending_product_oracle(factors, order)
-    assert work.kernel("series", "mul") == multiplies
+# the expand workload's largest order
+@pytest.mark.parametrize("order,divides", [(2400, (68, 106_195))], ids=["square-2400"])
+def test_product_work_is_pinned(work, order, divides):
+    # the prefix-divide passes, each counted as the entries it updates, and
+    # no multiply pass.  A change to this work updates the pin on purpose.
+    assert product_series(order) == descending_product_oracle(order, order)
+    assert work.kernel("series", "mul") == (0, 0)
     assert work.kernel("series", "div") == divides
 
 
 def test_product_work_grows_below_inversion(work):
-    # factors = order, so every multiply pass is empty and the grouped
-    # expansion's about sqrt(2n) prefix-divide passes make about 0.94 n^1.5
-    # updates, where series inversion makes n(n+1)/2 terms, exponent 2
+    # the grouped expansion's about sqrt(2n) prefix-divide passes make about
+    # 0.94 n^1.5 updates, where series inversion makes n(n+1)/2 terms, exponent 2
     sizes = (500, 1000, 2000, 4000)
     updates = []
     for n in sizes:
         work.clear()
-        partial_product(n, n)
+        product_series(n)
         updates.append(work["updates"])
     assert updates == [9_605, 27_907, 80_459, 230_695]
     # fitted 1.53
@@ -338,7 +307,7 @@ def test_product_work_grows_below_inversion(work):
 
 
 def test_partial_product_coefficients_stay_small():
-    s = partial_product(300, 300)
+    s = product_series(300)
     assert set(s) <= {-1, 0, 1}
 
 

@@ -9,7 +9,7 @@ from pentaseries.pentagonal import closed_form_series, pent_terms_upto
 from pentaseries.series import (
     Term,
     _mul_binomial_inplace,
-    partial_product,
+    product_series,
 )
 from pentaseries.telescoping import (
     identity_exponents,
@@ -206,7 +206,7 @@ def test_stream_series_matches_other_routes():
         s2 = stream_series("method2", n)
         assert s1 == closed_form_series(n)
         assert s2 == closed_form_series(n)
-        assert s1 == partial_product(n, n)
+        assert s1 == product_series(n)
     for method in ("method1", "method2"):
         with pytest.raises(ValueError, match="^negative order$"):
             stream_series(method, -1)
@@ -227,7 +227,7 @@ def test_routes_never_consult_the_closed_form(monkeypatch):
     residual_series.cache_clear()
 
     s1 = stream_series("method1", 600)
-    assert s1 == stream_series("method2", 600) == partial_product(600, 600)
+    assert s1 == stream_series("method2", 600) == product_series(600)
     golden = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1, 22: 1, 26: 1, 35: -1, 40: -1, 51: 1}
     assert s1[:52] == tuple(golden.get(e, 0) for e in range(52))
     for method in ("method1", "method2"):
