@@ -280,14 +280,26 @@ def test_binomial_kernels_match_per_element_oracles(rng):
             assert got == oracle(c, k), (kernel.__name__, size, k)
 
 
-# the expand workload's largest order
-@pytest.mark.parametrize("order,divides", [(2400, (68, 106_195))], ids=["square-2400"])
-def test_product_work_is_pinned(work, order, divides):
-    # the prefix-divide passes, each counted as the entries it updates, and
-    # no multiply pass.  A change to this work updates the pin on purpose.
-    assert product_series(order) == descending_product_oracle(order, order)
-    assert work.kernel("series", "mul") == (0, 0)
-    assert work.kernel("series", "div") == divides
+@pytest.mark.parametrize(
+    "module,factors,order,multiplies,divides",
+    [
+        # the untruncated products that root_multiplicities(34) and (120)
+        # build in roots: one multiply pass per factor and no divide pass
+        ("roots", 34, 595, (34, 6_579), (0, 0)),
+        ("roots", 120, 7260, (120, 288_100), (0, 0)),
+        # the expand workload's largest order: prefix-divide passes only
+        ("series", 2400, 2400, (0, 0), (68, 106_195)),
+    ],
+    ids=["roots-34", "roots-120", "square-2400"],
+)
+def test_product_work_is_pinned(work, module, factors, order, multiplies, divides):
+    # the passes of each binomial kernel, each counted as the entries it
+    # updates.  A change to this work updates the pin on purpose.
+    product = _full_product(factors) if module == "roots" else product_series(order)
+    assert tuple(product) == descending_product_oracle(factors, order)
+    assert work.kernel(module, "mul") == multiplies
+    assert work.kernel(module, "div") == divides
+    assert work["updates"] == multiplies[1] + divides[1]
 
 
 def test_product_work_grows_below_inversion(work):
