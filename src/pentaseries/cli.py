@@ -153,11 +153,12 @@ def cmd_verify(depth: int, order: int, roots: int) -> int:
         return 2
 
     failures = 0
-    for method in ("method1", "method2"):
-        for m in range(1, depth + 1):
-            ok = verify_stage(method, m, order)
-            failures += not ok
-            print(f"stage {method} m={m}: {'pass' if ok else 'FAIL'}")
+    # stage-major, so method 2 reads the V_m method 1 just built; printed method-major
+    passed = {(method, m): verify_stage(method, m, order)
+              for m in range(1, depth + 1) for method in ("method1", "method2")}
+    for (method, m), ok in sorted(passed.items()):
+        failures += not ok
+        print(f"stage {method} m={m}: {'pass' if ok else 'FAIL'}")
     ok = iterated_division_check(depth)
     failures += not ok
     print(f"division depth={depth}: {'pass' if ok else 'FAIL'}")

@@ -1,6 +1,7 @@
 import os
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -65,3 +66,24 @@ def work(monkeypatch):
     monkeypatch.setattr(partitions, "iter", cursor, raising=False)
     monkeypatch.setattr(series, "reversed", reversing, raising=False)
     return work
+
+
+@pytest.fixture
+def memory():
+    """A function that runs fn(*args) under tracemalloc and returns its traced
+    peak in bytes.  Peaks differ between interpreters, so gate ratios of them."""
+
+    def peak(fn, *args):
+        tracing = tracemalloc.is_tracing()
+        if tracing:
+            tracemalloc.reset_peak()
+        else:
+            tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return peak
