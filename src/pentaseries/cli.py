@@ -153,7 +153,7 @@ def cmd_verify(depth: int, order: int, roots: int) -> int:
         return 2
 
     failures = 0
-    # stage-major, so method 2 reads the V_m method 1 just built; printed method-major
+    # stage-major, so method 2 reads the residuals method 1 just built; printed method-major
     passed = {(method, m): verify_stage(method, m, order)
               for m in range(1, depth + 1) for method in ("method1", "method2")}
     for (method, m), ok in sorted(passed.items()):

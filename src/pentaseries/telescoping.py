@@ -29,7 +29,6 @@ Streams carry nothing but (sign, exponent) pairs.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 from itertools import count
 from typing import Iterator
@@ -130,26 +129,6 @@ def stream_series(method: str, order: int) -> tuple[int, ...]:
     return tuple(c)
 
 
-@lru_cache(maxsize=2)  # sized to verify's walk: both methods at stage m, then m + 1
-def _nested_sum(m: int, length: int) -> tuple[int, ...]:
-    """V_m = (1 - x^m) W_m mod x^length (empty when length < 1), where
-    W_m = sum over j >= 0 of x^(m*j) (1 - x^(m+1))(1 - x^(m+2))...(1 - x^(m+j+1)).
-
-    Grouped by the number i of factors that contribute their -x^k: the finite
-    q-binomial theorem expands each product, and after swapping the sums,
-    sum over n >= i of [n choose i]_x z^n = z^i / (z; x)_(i+1) at z = x^m gives
-
-        V_m = sum over i >= 0 of (-1)^i x^(e_i) / ((1 - x^(m+1))...(1 - x^(m+i))),
-
-    with e_0 = 0, e_1 = m + 1 and e_i - e_(i-1) = 2m + i after that.  That is
-    the alternating nest (see series._alternating_nest) with levels
-    (e_i - e_(i-1), m + i).  Only the i with e_i < length reach the length,
-    about sqrt(2 * length) of them instead of the length / m levels of W_m's
-    own nest.  Two are cached: verify's first stage reads V_1 and V_2.
-    """
-    return _alternating_nest(length, ((2 * m + i if i > 1 else m + 1, m + i) for i in count(1)))
-
-
 @lru_cache(maxsize=4)
 def residual_series(method: str, m: int, order: int) -> tuple[int, ...]:
     """The stage-m residual (letter value) from its defining sum, mod x^(order+1).
@@ -162,14 +141,18 @@ def residual_series(method: str, m: int, order: int) -> tuple[int, ...]:
         x^(t + m*j) * (1 - x^m)(1 - x^(m+1))...(1 - x^(m+j+1)),
     where t = 3m(m+1)/2 is the stage anchor.
 
-    Both sums factor through one nested sum W_m, and are built from
-    V_m = (1 - x^m) W_m in grouped form (see _nested_sum): method 1 is
-    x^h (1 - x^m)(1 + x^m W_m) = x^h ((1 - x^m) + x^m V_m) and method 2 is
-    x^t (1 - V_m).  Each asks for V_m to the length it needs,
-    order - h - m + 1 and order - t + 1; the recurrences make t = h + m, so
-    the two methods' stage-m residuals share one cached V_m, and neither
-    adds a pass of its own.  Four are cached (stages m, m + 1 of both methods):
-    verify's traced peak is flat in the depth, 47 KB at order 600, depth 3-16.
+    Grouped by the number i of factors that contribute their -x^k (the finite
+    q-binomial theorem, then the sum over j swapped in), method 1's sum is
+
+        x^h * sum over i >= 0 of (-1)^i x^(2mi + i(i+1)/2) / ((1 - x^(m+1))...(1 - x^(m+i))),
+
+    the alternating nest (see series._alternating_nest) with levels
+    (2m + i, m + i): only the i with 2mi + i(i+1)/2 <= order - h are read,
+    about sqrt(2 * order) of them instead of the order / m summands.
+    The recurrences make t = h + m, so method 2's j-th summand is method 1's
+    (j+1)-th and the two letters add up to x^h: method 2 is x^(t-m) minus
+    method 1's residual, and makes no pass of its own.  Four are cached
+    (stages m, m + 1 of both methods): verify's traced peak is flat in the depth.
     """
     _check_stage(method, m)
     if order < 0:
@@ -187,17 +170,12 @@ def residual_series(method: str, m: int, order: int) -> tuple[int, ...]:
         if stage == m:
             break
 
-    if method == "method1":
-        # V_m is empty when the order ends inside the prepended 1 and zeros;
-        # otherwise its constant 1 cancels the -x^m
-        u = ([1] + [0] * (m - 1))[: order - head + 1]
-        u += _nested_sum(m, order - head - m + 1)
-        if len(u) > m:
-            u[m] -= 1
-    else:
-        u = list(map(operator.neg, _nested_sum(m, order - head + 1)))
-        u[0] += 1
-    acc[head:] = u
+    if method == "method2":
+        # the anchor t lies m above method 1's head h: x^h minus method 1's letter
+        acc = [-c for c in residual_series("method1", m, order)]
+        acc[head - m] += 1
+        return tuple(acc)
+    acc[head:] = _alternating_nest(order - head + 1, ((2 * m + i, m + i) for i in count(1)))
     return tuple(acc)
 
 
@@ -209,8 +187,9 @@ def verify_stage(method: str, m: int, order: int) -> bool:
 
     where (e1, e2) are stage m's emissions and (a, b) are stage (m+1)'s.
     Exact coefficient equality at the given order (ValueError below the
-    identity's exponents, see identity_exponents); the methods share V_m only
-    if both check stage m before stage m + 1.
+    identity's exponents, see identity_exponents); method 2 reads method 1's
+    residuals from the cache only if both methods check stage m before
+    stage m + 1.
     """
     lo, hi = identity_exponents(method, m, order)
     r = residual_series(method, m, order)

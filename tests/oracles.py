@@ -1,6 +1,7 @@
 """Reference routines that only the tests call: a partition count from a
 different algorithm family, the one-entry-at-a-time partition table fill,
-per-element forms of the two binomial kernels, the trial-division count of
+per-element forms of the two binomial kernels, the alternating nest with
+each group expanded on its own, the trial-division count of
 the root multiplicities and Euler's totient for their degree bookkeeping,
 one stage of the telescoping recurrences, the log-log fit of the benchmark
 report and of counted work, and the argparse parser the command line was
@@ -14,6 +15,8 @@ from types import SimpleNamespace
 from pentaseries import telescoping
 from pentaseries.pentagonal import pent_terms_upto
 from pentaseries.series import _div_binomial_inplace
+
+from schoolbook import schoolbook_product
 
 
 def partition_bruteforce(n):
@@ -70,6 +73,24 @@ def div_binomial_oracle(c, k):
     for i, ci in enumerate(c):
         q.append(ci + q[i - k] if i >= k else ci)
     return q
+
+
+def nest_oracle(length, levels):
+    """The alternating nest with each group expanded on its own and summed:
+    (-1)^i x^(e_i) times the geometric series of each 1 / (1 - x^b_k), all
+    by schoolbook products, for every e_i < length."""
+    total = [0] * length
+    e, group = 0, [1] + [0] * length
+    for i, (gap, b) in enumerate([(0, None), *levels]):
+        if i:
+            e += gap
+            geometric = [int(j % b == 0) for j in range(length)]
+            group = schoolbook_product(group, geometric, length)
+        if e >= length:
+            break
+        for j in range(length - e):
+            total[e + j] += (-1) ** i * group[j]
+    return tuple(total)
 
 
 def trial_division_multiplicities(factors, product):

@@ -334,19 +334,14 @@ def test_verify_order_beyond_memory_exits_2_without_walking(capsys, monkeypatch)
     assert (code, out, err) == (2, "", "out of memory: verify input too large\n")
 
 
-def clear_stage_caches():
-    telescoping.residual_series.cache_clear()
-    telescoping._nested_sum.cache_clear()
-
-
-def test_verify_builds_each_nested_sum_once(capsys):
+def test_verify_builds_each_nested_sum_once(capsys, work):
     # the walk checks both methods at stage m before stage m + 1, so method 2
-    # reads the V_m method 1 has just built, although the caches keep only 2
-    # nested sums and 4 residuals; method by method it would build 14 V_m
-    clear_stage_caches()
+    # reads the residuals method 1 has just built, although the cache keeps
+    # only 4; method by method every nest would be built twice (33,226 updates)
+    telescoping.residual_series.cache_clear()
     assert run_cli(capsys, "verify", "--depth", "6", "--order", "300", "--roots", "3")[0] == 0
-    assert telescoping._nested_sum.cache_info()[:2] == (7, 7)
-    assert telescoping.residual_series.cache_info()[:2] == (10, 14)
+    assert work["series", "div", "updates"] == 16613
+    assert telescoping.residual_series.cache_info()[:2] == (17, 14)
 
 
 def test_verify_stage_memory_is_flat_in_the_depth(capsys, memory):
@@ -354,7 +349,7 @@ def test_verify_stage_memory_is_flat_in_the_depth(capsys, memory):
     # request at the same order peaks no higher: about 47 KB at both depths
     # on 3.11, where keeping every residual took 73 and 245 KB
     def peak(depth):
-        clear_stage_caches()
+        telescoping.residual_series.cache_clear()
         argv = ["verify", "--depth", str(depth), "--order", "600", "--roots", "1"]
         traced = memory(main, argv)
         assert capsys.readouterr().out.endswith("all checks passed\n")

@@ -1,4 +1,5 @@
 import re
+import sys
 from functools import lru_cache
 
 import pytest
@@ -343,6 +344,14 @@ def test_roots_division_work_is_pinned(work, m, passes, updates):
     assert root_multiplicities(m) == tuple(m // d for d in range(1, m + 1))
     assert work.kernel("roots", "div") == (passes, updates)
     assert work.kernel("roots", "mul") == (passes, updates)
+
+
+def test_roots_peak_stays_within_a_multiple_of_the_product(memory):
+    # the phase divides the product it built in place, so its traced peak is
+    # 1.90-2.02x the product's own size (list and ints) at M = 80 on 3.10-3.13
+    product = _full_product(80)
+    size = sys.getsizeof(product) + sum(map(sys.getsizeof, product))
+    assert memory(root_multiplicities, 80) <= 2.3 * size
 
 
 def test_roots_work_grows_as_the_cube(work):

@@ -10,8 +10,8 @@ from pentaseries.series import (
     series_inverse,
 )
 
-from oracles import counted_exponent, div_binomial_oracle, mul_binomial_oracle
-from schoolbook import schoolbook_product, series_product
+from oracles import counted_exponent, div_binomial_oracle, mul_binomial_oracle, nest_oracle
+from schoolbook import series_product
 
 
 def conv_oracle(a, b, order):
@@ -222,24 +222,6 @@ def test_partial_product_matches_descending_oracle_edges(factors, order):
     else:
         p = _full_product(factors)
         assert tuple(p + [0] * (order + 1 - len(p))) == descending_product_oracle(factors, order)
-
-
-def nest_oracle(length, levels):
-    """The alternating nest with each group expanded on its own and summed:
-    (-1)^i x^(e_i) times the geometric series of each 1 / (1 - x^b_k), all
-    by schoolbook products, for every e_i < length."""
-    total = [0] * length
-    e, group = 0, [1] + [0] * length
-    for i, (gap, b) in enumerate([(0, None), *levels]):
-        if i:
-            e += gap
-            geometric = [int(j % b == 0) for j in range(length)]
-            group = schoolbook_product(group, geometric, length)
-        if e >= length:
-            break
-        for j in range(length - e):
-            total[e + j] += (-1) ** i * group[j]
-    return tuple(total)
 
 
 def read_below(length, levels):

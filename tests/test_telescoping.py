@@ -18,7 +18,7 @@ from pentaseries.telescoping import (
     verify_stage,
 )
 
-from oracles import counted_exponent, stage_of
+from oracles import counted_exponent, nest_oracle, stage_of
 
 
 def residual_oracle(method, m, order):
@@ -95,8 +95,8 @@ def summation_residual_oracle(method, m, order):
 
 
 def horner_residual_oracle(method, m, order):
-    """The nested form that ran each method's whole nest on its own, kept as
-    the oracle of the shared nested sum."""
+    """The nested form that ran each method's whole nest on its own, one level
+    per summand, kept as the oracle of the grouped nest and its complement."""
     _, _, head = stage_of(method, m)
     if order < 0:
         raise ValueError("negative order")
@@ -119,33 +119,6 @@ def horner_residual_oracle(method, m, order):
         u[0] += 1
     acc[head:] = u
     return tuple(acc)
-
-
-def nested_sum_oracle(m, length):
-    """W_m mod x^length by W_m's own Horner nest, one level per summand,
-    kept as the oracle of the grouped V_m = (1 - x^m) W_m."""
-    if length < 1:
-        return ()
-    pad = [1] + [0] * (m - 1)
-    levels, top = divmod(length - 1, m)
-    u = pad[:1] + [0] * top
-    for j in range(levels - 1, -1, -1):
-        u[:0] = pad
-        _mul_binomial_inplace(u, m + j + 1)
-    return tuple(u)
-
-
-def grouped_exponent(m, i):
-    """e_i, the exponent of V_m's i-th group: e_0 = 0, then
-    i(m+1) + i(i-1)/2 + m(i-1)."""
-    return i * (m + 1) + i * (i - 1) // 2 + m * (i - 1) if i else 0
-
-
-def v_oracle(m, length):
-    """(1 - x^m) W_m mod x^length from the oracle nest."""
-    v = list(nested_sum_oracle(m, length))
-    _mul_binomial_inplace(v, m)
-    return tuple(v)
 
 
 def first_terms(method, count):
@@ -384,12 +357,29 @@ def test_residual_matches_summation_oracle_edge_orders(method):
             assert got == horner_residual_oracle(method, m, order), (m, order)
 
 
+def test_residual_oracles_add_up_to_the_head_and_group_into_one_nest():
+    # the two identities residual_series is built on, checked on the oracles
+    # alone: method 1's and method 2's letters add up to x^h, and method 1's
+    # is x^h times the alternating nest with levels (2m + i, m + i)
+    for m in range(1, 15):
+        _, _, h = stage_of("method1", m)
+        # the nest oracle truncates exactly, so its longest value cut to a
+        # shorter length is its value there
+        levels = [(2 * m + i, m + i) for i in range(1, 402 - h)]
+        shifted = (0,) * h + nest_oracle(401 - h, levels)
+        for order in range(401):
+            first = summation_residual_oracle("method1", m, order)
+            second = summation_residual_oracle("method2", m, order)
+            head = [int(e == h) for e in range(order + 1)]
+            assert [a + b for a, b in zip(first, second)] == head, (m, order)
+            assert first == shifted[: order + 1], (m, order)
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_second_method_reuses_the_nested_sum(work, m):
-    # stage m's two residuals need V_m to the same length, so once method 1
-    # has built it, method 2 makes no prefix-divide pass of its own
+    # method 2's stage-m residual is x^h minus method 1's, so once method 1
+    # has built its nest, method 2 makes no prefix-divide pass of its own
     residual_series.cache_clear()
-    telescoping._nested_sum.cache_clear()
     first = residual_series("method1", m, 200)
     assert work["series", "div", "passes"] >= 1
     work.clear()
@@ -400,32 +390,39 @@ def test_second_method_reuses_the_nested_sum(work, m):
 
 
 def test_nested_sum_matches_the_horner_oracle_every_length():
-    # the oracle truncates exactly, so its length-400 value cut to `length`
-    # entries is its value at `length`; every length still runs the grouped form
-    for m in range(1, 21):
-        full = v_oracle(m, 400)
-        for length in range(401):
-            assert telescoping._nested_sum(m, length) == full[:length], (m, length)
+    # the oracle truncates exactly, so its value at head + 400 read to
+    # order + 1 entries is its value at `order`; every order still runs the
+    # grouped nest, and for method 2 its complement
+    for method in ("method1", "method2"):
+        for m in range(1, 21):
+            _, _, head = stage_of(method, m)
+            full = horner_residual_oracle(method, m, head + 400)
+            for order in range(head, head + 401):
+                assert residual_series(method, m, order) == full[: order + 1], (method, m, order)
 
 
 def test_nested_sum_matches_the_horner_oracle_at_group_edges():
-    # lengths where the innermost group changes: e_i enters once length > e_i
+    # orders where the innermost group of method 1's nest changes: group i
+    # enters at h + 2mi + i(i+1)/2, and method 2 is its complement
     for m in range(1, 21):
+        _, _, h = stage_of("method1", m)
         for i in range(1, 5):
-            e = grouped_exponent(m, i)
-            for length in (e - 1, e, e + 1):
-                assert telescoping._nested_sum(m, length) == v_oracle(m, length), (m, i, length)
+            e = h + 2 * m * i + i * (i + 1) // 2
+            for order in (e - 1, e, e + 1):
+                for method in ("method1", "method2"):
+                    expected = horner_residual_oracle(method, m, order)
+                    assert residual_series(method, m, order) == expected, (method, m, i, order)
 
 
 def test_nested_sum_work_grows_below_quadratic(work):
-    # W_m's own nest makes about length^2 / (2m) updates; the grouped form
-    # makes about sqrt(2 * length) prefix-divide passes of at most length each
+    # the summands' own nest makes about order^2 / (2m) updates; the grouped
+    # form makes about sqrt(2 * order) prefix-divide passes of at most order each
     sizes = (250, 500, 1000, 2000, 4000)
     updates = []
     for length in sizes:
-        telescoping._nested_sum.cache_clear()
+        residual_series.cache_clear()
         work.clear()
-        telescoping._nested_sum(1, length)
+        residual_series("method1", 1, length + 2)
         updates.append(work["series", "div", "updates"])
     assert updates[2] == 26076
     assert counted_exponent(sizes, updates) < 1.7
