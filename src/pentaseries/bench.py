@@ -8,22 +8,15 @@ their operand sizes grow with n.  The command line prints the records as
 CSV or JSON.
 """
 
-from __future__ import annotations
-
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from .partitions import partition_series, partition_values
 from .series import product_series
 
 REPETITIONS = 5
 
-
-class BenchRecord(NamedTuple):
-    task: str
-    n: int
-    wall_ns: int
-    max_coeff_bits: int
+BenchRecord = namedtuple("BenchRecord", "task n wall_ns max_coeff_bits")
 
 
 # Each task returns the coefficient sequence it computed.

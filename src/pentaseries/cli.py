@@ -17,8 +17,6 @@ coefficients as decimal strings), so re-serializing a parsed payload gives
 back the same bytes.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 

@@ -27,8 +27,6 @@ oracle).  The inversion route, partition_series, cross-checks the fill, and
 the tests add a third leg.
 """
 
-from __future__ import annotations
-
 from itertools import repeat
 from math import isqrt
 

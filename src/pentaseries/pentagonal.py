@@ -6,8 +6,6 @@ Walking k = 1, -1, 2, -2, 3, -3, ... visits the exponents in strictly
 ascending order, so no sorting is ever needed.
 """
 
-from __future__ import annotations
-
 from .series import Term
 
 

@@ -19,8 +19,6 @@ Only partial products are examined.  The truncated sparse series itself has
 its own unrelated roots, and nothing is claimed about where those lie.
 """
 
-from __future__ import annotations
-
 from .series import _div_binomial_inplace, _mul_binomial_inplace
 
 

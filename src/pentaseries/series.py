@@ -5,19 +5,13 @@ modulo x^(N+1).  Everything is integer arithmetic; no float ever enters a
 computation here.
 """
 
-from __future__ import annotations
-
 import operator
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import count
-from typing import NamedTuple
 
-
-class Term(NamedTuple):
-    """One signed term sign * x^exponent of a sparse series."""
-
-    sign: int
-    exponent: int
+Term = namedtuple("Term", "sign exponent")
+Term.__doc__ = "One signed term sign * x^exponent of a sparse series."
 
 
 def _mul_binomial_inplace(c: list[int], k: int) -> None:

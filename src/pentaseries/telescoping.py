@@ -27,11 +27,9 @@ bookkeeping is descriptive only; nothing here models or reproduces it.
 Streams carry nothing but (sign, exponent) pairs.
 """
 
-from __future__ import annotations
-
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import count
-from typing import Iterator
 
 from .series import Term, _alternating_nest
 

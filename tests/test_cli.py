@@ -567,7 +567,8 @@ def test_expand_all_checks_against_the_product_looked_up_at_call_time(capsys, mo
 
 
 def test_cli_import_skips_unused_stdlib_modules():
-    unused = ("argparse", "dataclasses", "inspect", "json", "statistics")
+    unused = ("__future__", "argparse", "dataclasses", "enum", "inspect", "json", "re", "statistics",
+              "typing")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import pentaseries.cli, sys; print([m for m in {unused!r} if m in sys.modules])"],
