@@ -243,6 +243,38 @@ def test_verify_fails_a_product_with_a_leftover(capsys, monkeypatch, scale):
     )
 
 
+def _second_count_three(real):
+    def counts(m):
+        c = real(m)
+        return (c[0], 3, *c[2:])
+
+    return counts
+
+
+# (the cli name patched, its stand-in given the real function, the index of
+# the one line that changes, that line)
+ONE_FAILED_CHECK = {
+    "stage": ("verify_stage", lambda real: lambda method, m, order: (method, m) != ("method2", 2)
+              and real(method, m, order), 4, "stage method2 m=2: FAIL"),
+    "division": ("iterated_division_check", lambda real: lambda depth: False, 6, "division depth=3: FAIL"),
+    "root": ("root_multiplicities", _second_count_three, 8, "root d=2 expected=2 measured=3 MISMATCH"),
+}
+
+
+@pytest.mark.parametrize("check", ONE_FAILED_CHECK)
+def test_verify_one_failed_check_changes_its_line_alone(capsys, monkeypatch, check):
+    # the line, the summary and the exit code each report the one failure
+    name, fake, index, line = ONE_FAILED_CHECK[check]
+    argv = ("verify", "--depth", "3", "--order", "60", "--roots", "4")
+    _, passing, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+    expected = passing.splitlines()
+    assert len(expected) == 12 and expected[-1] == "all checks passed"
+    expected[index] = line
+    expected[-1] = "1 check(s) failed"
+    assert run_cli(capsys, *argv) == (1, "\n".join(expected) + "\n", "")
+
+
 def test_verify_order_too_small(capsys):
     code, _, err = run_cli(capsys, "verify", "--depth", "1", "--order", "4")
     assert code == 2
@@ -544,6 +576,10 @@ def test_expand_all_mismatch_names_first_difference(capsys, monkeypatch):
         "method1: first difference at x^17: product 0, method1 3",
         "method2: first difference at x^17: product 0, method2 3",
     ]
+    # the JSON form carries the same verdicts
+    code, out, _ = run_cli(capsys, "expand", "--method", "all", "--order", str(order), "--format", "json")
+    assert code == 1
+    assert json.loads(out)["agree"] == {"method1": False, "method2": False, "closed": True}
 
 
 def test_expand_all_checks_against_the_product_looked_up_at_call_time(capsys, monkeypatch):
@@ -697,6 +733,22 @@ def test_parser_forms_and_repeats():
     assert cli._parse(["partition", "--n=0"]) == ("partition", {"upto": None, "n": 0, "format": "text"})
     assert cli._parse(["expand", "--method", "closed", "--order", "-0"]) == (
         "expand", {"method": "closed", "order": 0, "format": "text"})
+
+
+@pytest.mark.parametrize(
+    "token", ["-", "-1", "-1.5", "-.5", "-1.", "-.", "--", "-x", "-1\n", "-1.5\n", "- 1", "-a b", "-5 "]
+)
+def test_dash_values_read_as_argparse_reads_them(token):
+    # each of _option_like's rules both ways: '-' alone, negative integers and
+    # decimals, a final newline, and a space anywhere make a value; any other
+    # token after the dash makes an option, and so a missing value
+    argv = ["verify", "--depth", "1", "--order", token]
+    try:
+        command, opts = cli._parse(argv)
+        outcome = "ok", {"command": command, **opts}
+    except cli._UsageError as exc:
+        outcome = "exit", 2, f"{exc}\n"
+    assert outcome == argparse_outcome(argparse_oracle(), argv)
 
 
 @pytest.mark.parametrize(
