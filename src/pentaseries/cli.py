@@ -150,28 +150,28 @@ def cmd_verify(depth: int, order: int, roots: int) -> int:
         print(exc, file=sys.stderr)
         return 2
 
-    failures = 0
-    # stage-major, so method 2 reads the residuals method 1 just built; printed method-major
+    # One (line, ok, stream) record per check, in output order, printed and counted
+    # only once every check has run, so a resource failure partway prints nothing.
+    # Stage-major, so method 2 reads the residuals method 1 just built; printed method-major.
     passed = {(method, m): verify_stage(method, m, order)
               for m in range(1, depth + 1) for method in ("method1", "method2")}
-    for (method, m), ok in sorted(passed.items()):
-        failures += not ok
-        print(f"stage {method} m={m}: {'pass' if ok else 'FAIL'}")
+    checks = [(f"stage {method} m={m}: {'pass' if ok else 'FAIL'}", ok, sys.stdout)
+              for (method, m), ok in sorted(passed.items())]
     ok = iterated_division_check(depth)
-    failures += not ok
-    print(f"division depth={depth}: {'pass' if ok else 'FAIL'}")
+    checks.append((f"division depth={depth}: {'pass' if ok else 'FAIL'}", ok, sys.stdout))
     try:
         multiplicities = root_multiplicities(roots)
     except ArithmeticError as exc:
         # a leftover quotient other than 1: no count can be trusted, so none is printed
-        print(f"roots M={roots}: {exc}", file=sys.stderr)
-        failures += 1
-        multiplicities = ()
-    for d, measured in enumerate(multiplicities, 1):
-        expected = roots // d
-        ok = measured == expected
-        failures += not ok
-        print(f"root d={d} expected={expected} measured={measured} {'match' if ok else 'MISMATCH'}")
+        checks.append((f"roots M={roots}: {exc}", False, sys.stderr))
+    else:
+        for d, measured in enumerate(multiplicities, 1):
+            ok = measured == roots // d
+            line = f"root d={d} expected={roots // d} measured={measured} {'match' if ok else 'MISMATCH'}"
+            checks.append((line, ok, sys.stdout))
+    for line, _, stream in checks:
+        print(line, file=stream)
+    failures = sum(not ok for _, ok, _ in checks)
     print("all checks passed" if not failures else f"{failures} check(s) failed")
     return 0 if not failures else 1
 
@@ -212,7 +212,7 @@ def _size_list(text: str) -> tuple[int, ...]:
     except ValueError:
         raise ValueError(f"not a comma-separated integer list: {text!r}") from None
     # the sizes are the x-axis of criterion 8's log-log fit, so each must be positive
-    if not sizes or any(s < 1 for s in sizes):
+    if any(s < 1 for s in sizes):
         raise ValueError("sizes must be >= 1")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")

@@ -403,6 +403,18 @@ def test_memory_error_mid_walk_prints_no_stage_line(capsys, monkeypatch):
     assert run_cli(capsys, *argv) == (2, "", "out of memory: verify input too large\n")
 
 
+@pytest.mark.parametrize("name", ["iterated_division_check", "root_multiplicities"])
+def test_memory_error_after_the_walk_prints_no_line(capsys, monkeypatch, name):
+    # every line is printed after the last check, so running out of memory in
+    # the division or the roots phase prints none of the passed stage lines
+    def exhausted(arg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, exhausted)
+    argv = ["verify", "--depth", "3", "--order", "60", "--roots", "4"]
+    assert run_cli(capsys, *argv) == (2, "", "out of memory: verify input too large\n")
+
+
 def test_bench_csv_shape(capsys):
     code, out, _ = run_cli(capsys, "bench", "--sizes", "60,120")
     assert code == 0
