@@ -243,20 +243,16 @@ def test_verify_fails_a_product_with_a_leftover(capsys, monkeypatch, scale):
     )
 
 
-def _second_count_three(real):
-    def counts(m):
-        c = real(m)
-        return (c[0], 3, *c[2:])
-
-    return counts
+def _second_count_three(m):
+    counts = roots.root_multiplicities(m)
+    return (counts[0], 3, *counts[2:])
 
 
-# (the cli name patched, its stand-in given the real function, the index of
-# the one line that changes, that line)
+# (the cli name patched, its stand-in, the index of the one line that changes, that line)
 ONE_FAILED_CHECK = {
-    "stage": ("verify_stage", lambda real: lambda method, m, order: (method, m) != ("method2", 2)
-              and real(method, m, order), 4, "stage method2 m=2: FAIL"),
-    "division": ("iterated_division_check", lambda real: lambda depth: False, 6, "division depth=3: FAIL"),
+    "stage": ("verify_stage", lambda method, m, order: (method, m) != ("method2", 2)
+              and verify_stage(method, m, order), 4, "stage method2 m=2: FAIL"),
+    "division": ("iterated_division_check", lambda depth: False, 6, "division depth=3: FAIL"),
     "root": ("root_multiplicities", _second_count_three, 8, "root d=2 expected=2 measured=3 MISMATCH"),
 }
 
@@ -267,7 +263,7 @@ def test_verify_one_failed_check_changes_its_line_alone(capsys, monkeypatch, che
     name, fake, index, line = ONE_FAILED_CHECK[check]
     argv = ("verify", "--depth", "3", "--order", "60", "--roots", "4")
     _, passing, _ = run_cli(capsys, *argv)
-    monkeypatch.setattr(cli, name, fake(getattr(cli, name)))
+    monkeypatch.setattr(cli, name, fake)
     expected = passing.splitlines()
     assert len(expected) == 12 and expected[-1] == "all checks passed"
     expected[index] = line
