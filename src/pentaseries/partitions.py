@@ -17,14 +17,14 @@ p(j+2)*2^2w + p(j+3)*2^3w packs four neighbours into one integer, and the
 windows sit in four lists by j mod 4.  Each offset g >= 5 owns an iterator
 into one of those lists, and each recurrence sign reads all its iterators as
 one zip row, so the group p(m)..p(m+3) is one sum(next(row)) per sign, with
-every iterator stepped in C; the offset-1 and offset-2 terms, which read the
-group itself, are added by hand.  The lane width w is set once, from a bound
-on the bits of p(n) (_entry_bits), so >> and & split each sum exactly.
-Filling p(0..6500) took 12.7-21.1 ms in process on a shared 2-core VM with
-Python 3.11 (quartiles of 31 interleaved runs), against 21.4-32.9 ms for the
-two-lane fill it replaced and 47-79 ms for one entry at a time (a test
-oracle).  The inversion route, partition_series, cross-checks the fill, and
-the tests add a third leg.
+every iterator stepped in C.  One lane step then runs four times in order,
+taking the lowest lane of both sums, adding the offset-1 and offset-2 terms
+(they read the group itself) and shifting both sums down a lane.  The lane
+width w is set once, from a bound on the bits of p(n) (_entry_bits), so >>
+and & split each sum exactly.  Filling p(0..6500) took 10.9 ms (quartiles
+10.6-11.1) in process on a shared 2-core VM with Python 3.11.7, a median
+0.3% more per pair than four hand-written lane steps (61 interleaved pairs).
+The inversion route, partition_series, and a test oracle cross-check it.
 """
 
 from itertools import repeat
@@ -50,17 +50,17 @@ def _fill(n: int) -> list[int]:
     """p(0)..p(n) in a new list, by the four-lane recurrence."""
     # Allocate every entry first, so an n too large for memory fails here at
     # once rather than after building ~sqrt(n) offsets.
-    vals = [1] + [0] * n
+    [0] * (n + 1)
+    vals = [1]
     # One list iterator per offset g >= 5, added (odd k) or subtracted (even
     # k): the recurrence sign (-1)^(k+1) is minus the series sign.  Offsets 1
-    # and 2, both added, read entries of the group being computed, so their
-    # terms are added by hand.
+    # and 2, both added, read the group being computed: the lane step adds them.
     offsets = pent_terms_upto(n)[2:]
     # Each sign's lanes sum at most len(offsets) values p(m-g) < 2^top, so w
     # bits hold each lane's sum: >> and & mask then split it with no carry.
     top = _entry_bits(n)
     w = _low_lane_bits((1 << top) - 1, len(offsets))
-    w2, w3 = 2 * w, 3 * w
+    w3 = 3 * w
     mask = (1 << w) - 1
     # Window W[j] = p(j) + p(j+1)*2^w + p(j+2)*2^2w + p(j+3)*2^3w, with
     # p(j) = 0 for j < 0, holds four entries, so one addition of W[m-g]
@@ -70,7 +70,7 @@ def _fill(n: int) -> list[int]:
     # cursor steps once per group.
     win = 1 << w3
     wins: tuple[list[int], ...] = ([], [win], [], [])
-    put2, put3, put0, put1 = wins[2].append, wins[3].append, wins[0].append, wins[1].append
+    puts = (wins[2].append, wins[3].append, wins[0].append, wins[1].append)
     # A sign's cursors are read as one zip row, rebuilt when an offset joins;
     # each sign starts with a cursor of zeros, so a row is never empty.
     cursors: tuple[list, list] = ([repeat(0)], [repeat(0)])
@@ -95,25 +95,19 @@ def _fill(n: int) -> list[int]:
         # row that stopped short would raise StopIteration, never add 0.
         added = sum(next(added_row))
         subtracted = sum(next(subtracted_row))
-        # p(m+i) is lane i of added minus lane i of subtracted, plus the
-        # offset-1 and offset-2 terms p(m+i-1) + p(m+i-2), in order.
-        p0 = (added & mask) - (subtracted & mask) + last + before
-        p1 = (added >> w & mask) - (subtracted >> w & mask) + p0 + last
-        p2 = (added >> w2 & mask) - (subtracted >> w2 & mask) + p1 + p0
-        p3 = (added >> w3) - (subtracted >> w3) + p2 + p1
-        # A last group past n writes up to three entries that are cut below.
-        vals[m : m + 4] = p0, p1, p2, p3
-        # W[m-3]..W[m] each drop the lowest entry of the window before and
-        # take one of this group's entries as their top lane.
-        win = (win >> w) + (p0 << w3)
-        put2(win)
-        win = (win >> w) + (p1 << w3)
-        put3(win)
-        win = (win >> w) + (p2 << w3)
-        put0(win)
-        win = (win >> w) + (p3 << w3)
-        put1(win)
-        before, last = p2, p3
+        # One lane step per entry, in order: p(m+i) is lane 0 of what is left
+        # of added minus that of subtracted, plus p(m+i-1) + p(m+i-2) for
+        # offsets 1 and 2.  W[m+i-3] then drops the lowest entry of the window
+        # before, takes p(m+i) as its top lane and joins wins[(m+i-3) & 3].
+        # A last group past n appends up to three entries that are cut below.
+        for put in puts:
+            p = (added & mask) - (subtracted & mask) + last + before
+            added >>= w
+            subtracted >>= w
+            vals.append(p)
+            before, last = last, p
+            win = (win >> w) + (p << w3)
+            put(win)
     del vals[n + 1 :]
     return vals
 

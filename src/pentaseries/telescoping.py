@@ -33,16 +33,10 @@ from itertools import count
 
 from .series import Term, _alternating_nest
 
-_METHODS = ("method1", "method2")
 
-
-def _check_method(method: str) -> None:
-    if method not in _METHODS:
+def _check_stage(method: str, m: int = 1) -> None:
+    if method not in ("method1", "method2"):
         raise ValueError(f"unknown method {method!r}")
-
-
-def _check_stage(method: str, m: int) -> None:
-    _check_method(method)
     if m < 1:
         raise ValueError("stage index below 1")
 
@@ -116,7 +110,7 @@ def identity_exponents(method: str, m: int, order: int) -> tuple[int, int]:
 
 def stream_series(method: str, order: int) -> tuple[int, ...]:
     """Assemble the stream into a dense series truncated at `order`."""
-    _check_method(method)
+    _check_stage(method)
     if order < 0:
         raise ValueError("negative order")
     c = [0] * (order + 1)

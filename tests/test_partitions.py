@@ -280,7 +280,7 @@ def test_fill_work_grows_below_inversion(work):
 
 def test_fill_peak_stays_within_a_multiple_of_its_table(memory):
     # the four-lane fill holds each p(j) in one of four window lists beside
-    # the table it returns: the traced peak is 3.94-3.96x the table's own
+    # the table it returns: the traced peak is 3.95-3.97x the table's own
     # size (tuple and ints) at n = 3000 on 3.10-3.13, and 4.31-4.32x at 6500
     table = partition_values(3000)
     size = sys.getsizeof(table) + sum(map(sys.getsizeof, table))

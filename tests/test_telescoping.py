@@ -213,6 +213,13 @@ def test_unknown_method_rejected():
         stream_series("method3", 10)
     with pytest.raises(ValueError, match="unknown method"):
         residual_series("", 1, 10)
+    with pytest.raises(ValueError, match="unknown method"):
+        identity_exponents("method3", 1, 10)
+    with pytest.raises(ValueError, match="unknown method"):
+        verify_stage("", 1, 10)
+    # the method is checked before the order
+    with pytest.raises(ValueError, match="unknown method 'method3'"):
+        stream_series("method3", -1)
 
 
 def test_residual_known_values():
