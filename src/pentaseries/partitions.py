@@ -11,19 +11,19 @@ with terms dropped once the argument goes negative.  Roughly 2*sqrt(2n/3)
 earlier values contribute per n, so filling a table to n costs O(n^1.5)
 big-integer additions, versus O(n^2) multiplications for direct series
 inversion.  Each partition_values(n) call runs one fill, _fill, from p(0) to n
-in a new list: it takes the offsets <= n from pent_terms_upto once and makes
-four entries per addition.  Each window W[j] = p(j) + p(j+1)*2^w +
-p(j+2)*2^2w + p(j+3)*2^3w packs four neighbours into one integer, and the
-windows sit in four lists by j mod 4.  Each offset g >= 5 owns an iterator
-into one of those lists, and each recurrence sign reads all its iterators as
-one zip row, so the group p(m)..p(m+3) is one sum(next(row)) per sign, with
-every iterator stepped in C.  One lane step then runs four times in order,
-taking the lowest lane of both sums, adding the offset-1 and offset-2 terms
-(they read the group itself) and shifting both sums down a lane.  The lane
-width w is set once, from a bound on the bits of p(n) (_entry_bits), so >>
-and & split each sum exactly.  Filling p(0..6500) took 10.9 ms (quartiles
-10.6-11.1) in process on a shared 2-core VM with Python 3.11.7, a median
-0.3% more per pair than four hand-written lane steps (61 interleaved pairs).
+in a new list, even at n = 0; the PartitionTable that holds it is only the
+benchmark tracer's seam.  The fill takes the offsets <= n from pent_terms_upto
+once and makes four entries per addition.  Each window W[j] = p(j) +
+p(j+1)*2^w + p(j+2)*2^2w + p(j+3)*2^3w packs four neighbours into one
+integer, and the windows sit in four lists by j mod 4.  Each offset g >= 5
+owns an iterator into one of those lists, and each recurrence sign reads all
+its iterators as one zip row, so the group p(m)..p(m+3) is one sum(next(row))
+per sign, with every iterator stepped in C.  One lane step then runs four
+times in order, taking the lowest lane of both sums, adding the offset-1 and
+offset-2 terms (they read the group itself) and shifting both sums down a
+lane.  The lane width w is set once, from a bound on the bits of p(n)
+(_entry_bits), so >> and & split each sum exactly.  Filling p(0..6500) took
+10.9 ms (quartiles 10.6-11.1) in process, Python 3.11.7 on a shared 2-core VM.
 The inversion route, partition_series, and a test oracle cross-check it.
 """
 
@@ -113,26 +113,21 @@ def _fill(n: int) -> list[int]:
 
 
 class PartitionTable:
-    """p(0), p(1), ... from one fill; extending it refills it from p(0).
+    """p(0)..p(n) from one fill: extend_to(n) sets values to _fill(n).
 
-    partition_values is the one caller.  The class stays only because the
-    benchmark's tracer wraps extend_to and reads computed_upto.
+    partition_values fills one per call.  It stays only for the benchmark's
+    tracer, which wraps extend_to and reads computed_upto.
     """
 
     def __init__(self) -> None:
-        self._values: list[int] = [1]
+        self.values: tuple[int, ...] = (1,)
 
     @property
     def computed_upto(self) -> int:
-        return len(self._values) - 1
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(self._values)
+        return len(self.values) - 1
 
     def extend_to(self, n: int) -> None:
-        if n >= len(self._values):
-            self._values = _fill(n)
+        self.values = tuple(_fill(n))
 
 
 def partition_values(n: int) -> tuple[int, ...]:

@@ -15,11 +15,9 @@ Term.__doc__ = "One signed term sign * x^exponent of a sparse series."
 
 
 def _mul_binomial_inplace(c: list[int], k: int) -> None:
-    # c[i] -= c[i-k] for i >= k; both slices are copies, so every
-    # subtrahend is an old entry.
-    n = len(c)
-    if k < n:
-        c[k:] = map(operator.sub, c[k:], c[: n - k])
+    # c[i] -= c[i-k] for i >= k, none if k >= len(c); both slices are
+    # copies, so every subtrahend is an old entry.
+    c[k:] = map(operator.sub, c[k:], c[: len(c) - k])
 
 
 def _div_binomial_inplace(c: list[int], k: int) -> None:

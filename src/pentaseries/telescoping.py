@@ -151,9 +151,6 @@ def residual_series(method: str, m: int, order: int) -> tuple[int, ...]:
         raise ValueError("negative order")
     # allocated first, so an order too large for memory fails before any level
     acc = [0] * (order + 1)
-    # every head exceeds 2m - 1, so stage m >= order is zero without a walk
-    if m >= order:
-        return tuple(acc)
     # the heads ascend, so the walk stops at the first head above the order,
     # after at most about sqrt(2 * order / 3) stages
     for stage, _, _, head in _stages(method):

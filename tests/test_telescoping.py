@@ -125,6 +125,21 @@ def first_terms(method, count):
     return list(islice(telescoping._terms(method), count))
 
 
+def count_stages(monkeypatch):
+    """The list that every stage telescoping._stages yields is appended to,
+    for the rest of the test."""
+    walked = []
+    stages = telescoping._stages
+
+    def counted(method):
+        for stage in stages(method):
+            walked.append(stage)
+            yield stage
+
+    monkeypatch.setattr(telescoping, "_stages", counted)
+    return walked
+
+
 def test_method1_first_terms():
     assert first_terms("method1", 6) == [
         Term(1, 0), Term(-1, 1), Term(-1, 2), Term(1, 5), Term(1, 7), Term(-1, 12),
@@ -300,15 +315,7 @@ def test_order_past_index_range_fails_before_walking(monkeypatch, method):
 
 @pytest.mark.parametrize("method", ["method1", "method2"])
 def test_stage_walk_stops_at_first_emission_above_order(monkeypatch, method):
-    walked = []
-    stages = telescoping._stages
-
-    def counted(method):
-        for stage in stages(method):
-            walked.append(stage)
-            yield stage
-
-    monkeypatch.setattr(telescoping, "_stages", counted)
+    walked = count_stages(monkeypatch)
     order = 10**6
     with pytest.raises(ValueError) as info:
         identity_exponents(method, 10**5, order)
@@ -437,13 +444,15 @@ def test_nested_sum_work_grows_below_quadratic(work):
 
 @pytest.mark.parametrize("m", [10**9, 2**63 + 1], ids=["huge", "past-index-range"])
 @pytest.mark.parametrize("method", ["method1", "method2"])
-def test_residual_at_or_above_order_is_zero_without_walking(monkeypatch, method, m):
-    def no_walk(*args):
-        raise AssertionError("stages walked")
-
-    monkeypatch.setattr(telescoping, "_stages", no_walk)
+def test_residual_at_or_above_order_is_zero_after_at_most_two_stages(monkeypatch, method, m):
+    walked = count_stages(monkeypatch)
+    # the heads run 2, 7, ... (method 1) and 3, 9, ... (method 2), so at
+    # orders up to 5 the walk stops by the second head, far below stage m
     for order in (0, 1, 5):
+        residual_series.cache_clear()
+        walked.clear()
         assert residual_series(method, m, order) == (0,) * (order + 1)
+        assert len(walked) <= 2
     # the argument checks still come first, with their own messages
     with pytest.raises(ValueError, match="unknown method"):
         residual_series("method3", m, 5)
@@ -455,15 +464,7 @@ def test_residual_at_or_above_order_is_zero_without_walking(monkeypatch, method,
 
 @pytest.mark.parametrize("method", ["method1", "method2"])
 def test_residual_walk_stops_at_first_head_above_order(monkeypatch, method):
-    walked = []
-    stages = telescoping._stages
-
-    def counted(method):
-        for stage in stages(method):
-            walked.append(stage)
-            yield stage
-
-    monkeypatch.setattr(telescoping, "_stages", counted)
+    walked = count_stages(monkeypatch)
     residual_series.cache_clear()
     order = 10**5
     # stage order - 1 is below the order, but its head is far above it
