@@ -1,11 +1,11 @@
 """Timing harness for the product expansion and the two partition routes.
 
-Reporting only: nothing here passes or fails.  Each task runs once as a
-discarded warm-up and then five times on the monotonic clock; the recorded
-wall time is the median.  The peak coefficient bit-length is reported
-alongside because the two partition routes are big-integer algorithms and
-their operand sizes grow with n.  The command line prints the records as
-CSV or JSON.
+Reporting only: nothing here passes or fails.  Each task runs once as an
+untimed warm-up, whose result gives the peak coefficient bit-length, and
+then five times on the monotonic clock; the recorded wall time is the
+median.  The bit-length is reported because the two partition routes are
+big-integer algorithms and their operand sizes grow with n.  The command
+line prints the records as CSV or JSON.
 """
 
 import time
@@ -36,12 +36,11 @@ def run_bench(sizes: list[int]) -> list[BenchRecord]:
     records = []
     for n in sizes:
         for name, fn in _TASKS:
-            fn(n)  # warm-up, discarded
+            result = fn(n)  # untimed warm-up; every call returns the same coefficients
             times = []
-            result = None
             for _ in range(REPETITIONS):
                 start = time.perf_counter_ns()
-                result = fn(n)
+                fn(n)
                 times.append(time.perf_counter_ns() - start)
             # REPETITIONS is odd, so the median is the middle sample
             records.append(BenchRecord(name, n, sorted(times)[REPETITIONS // 2], _peak_bits(result)))

@@ -34,11 +34,13 @@ from itertools import count
 from .series import Term, _alternating_nest
 
 
-def _check_stage(method: str, m: int = 1) -> None:
+def _check_stage(method: str, m: int = 1, order: int = 0) -> None:
     if method not in ("method1", "method2"):
         raise ValueError(f"unknown method {method!r}")
     if m < 1:
         raise ValueError("stage index below 1")
+    if order < 0:
+        raise ValueError("negative order")
 
 
 def _stages(method: str) -> Iterator[tuple[int, int, int, int]]:
@@ -110,9 +112,7 @@ def identity_exponents(method: str, m: int, order: int) -> tuple[int, int]:
 
 def stream_series(method: str, order: int) -> tuple[int, ...]:
     """Assemble the stream into a dense series truncated at `order`."""
-    _check_stage(method)
-    if order < 0:
-        raise ValueError("negative order")
+    _check_stage(method, order=order)
     c = [0] * (order + 1)
     for sign, exponent in _terms(method):
         if exponent > order:
@@ -146,9 +146,7 @@ def residual_series(method: str, m: int, order: int) -> tuple[int, ...]:
     method 1's residual, and makes no pass of its own.  Four are cached
     (stages m, m + 1 of both methods): verify's traced peak is flat in the depth.
     """
-    _check_stage(method, m)
-    if order < 0:
-        raise ValueError("negative order")
+    _check_stage(method, m, order)
     # allocated first, so an order too large for memory fails before any level
     acc = [0] * (order + 1)
     # the heads ascend, so the walk stops at the first head above the order,

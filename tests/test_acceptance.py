@@ -97,8 +97,8 @@ def test_criterion_4_stage_identities():
     start = time.perf_counter()
     results = {
         (method, m): verify_stage(method, m, order)
-        for method in ("method1", "method2")
         for m in range(1, 31)
+        for method in ("method1", "method2")
     }
     elapsed = time.perf_counter() - start
     ok = all(results.values())

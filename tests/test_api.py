@@ -168,7 +168,7 @@ SHARED = {
     ("series", "_div_binomial_inplace"): "a kernel: the prefix-divide pass by (1 - x^k)",
     ("series", "_alternating_nest"): "a kernel: the alternating nest of the product and of the stage residuals",
     ("telescoping", "_stages"): "the stage walk that the streams and the residuals both take",
-    ("telescoping", "_check_stage"): "the method and stage check, which both telescoping routes make",
+    ("telescoping", "_check_stage"): "the method, stage and order check, which both telescoping routes make",
     ("pentagonal", "gpent"): "the pentagonal numbers, read through pent_terms_upto",
     ("pentagonal", "pent_sign"): "the sign law, read through pent_terms_upto",
     ("pentagonal", "pent_terms_upto"): "the recurrence's offsets, which are the paper's point",

@@ -121,14 +121,10 @@ def per_term_recurrence(n):
 def test_split_sign_recurrence_matches_per_term_oracle():
     oracle = per_term_recurrence(3001)
     assert tuple(split_sign_fill([1], 3001)) == oracle
-    # Every entry up to 3001 from one call, whose last pair is whole (3000)
-    # or a single entry (3001), and fresh tables at every n <= 300, so the
-    # first pair starts at 1 and the last ends either way.
-    for n in (3000, 3001):
-        table = PartitionTable()
-        table.extend_to(n)
-        assert table.values == oracle[: n + 1]
-    for n in range(301):
+    # Groups of four start at m = 1 mod 4: n = 3000 ends a whole group and
+    # n = 3001 keeps one entry of its group.  Every n <= 300 ends the fill
+    # at each position in a group.
+    for n in (3000, 3001, *range(301)):
         assert partition_values(n) == oracle[: n + 1], n
 
 
