@@ -33,29 +33,20 @@ from .telescoping import identity_exponents, stream_series, verify_stage
 _ROOTS_LIMIT = 400
 
 
-def _plain(s: str) -> str:
-    """s itself, if JSON writes it unescaped: printable ASCII without '"' or '\\'."""
-    if not (s.isascii() and s.isprintable()) or '"' in s or "\\" in s:
-        raise ValueError(f"string needs JSON escaping: {s!r}")
-    return s
-
-
 def canonical_json(obj) -> str:
-    """The bytes of json.dumps(obj, separators=(",", ":")) for what the CLI
-    emits: dicts with string keys, lists, ints, bools, and strings that need
-    no escaping (ValueError for any other string)."""
+    """The bytes of json.dumps(obj, separators=(",", ":")) for the CLI's dicts,
+    lists, ints, bools and strings.  No string needs escaping: each is str() of
+    an int or a fixed name (a payload key, a route in "agree", a bench task)."""
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, str):
-        return f'"{_plain(obj)}"'
+        return f'"{obj}"'
     if isinstance(obj, dict):
-        return "{" + ",".join(f'"{_plain(k)}":{canonical_json(v)}' for k, v in obj.items()) + "}"
+        return "{" + ",".join(f'"{k}":{canonical_json(v)}' for k, v in obj.items()) + "}"
     if isinstance(obj, list):
         if all(isinstance(x, str) for x in obj):
-            # one check over the joined text instead of one call per coefficient
-            _plain("".join(obj))
             return '["' + '","'.join(obj) + '"]' if obj else "[]"
         return "[" + ",".join(map(canonical_json, obj)) + "]"
     raise TypeError(f"not a CLI payload type: {type(obj).__name__}")

@@ -3,16 +3,14 @@ different algorithm family, the one-entry-at-a-time partition table fill,
 per-element forms of the two binomial kernels, the alternating nest with
 each group expanded on its own, the trial-division count of
 the root multiplicities and Euler's totient for their degree bookkeeping,
-one stage of the telescoping recurrences, the log-log fit of the benchmark
-report and of counted work, and the argparse parser the command line was
-once read with."""
+each telescoping stage's exponents from the pentagonal numbers, the log-log
+fit of the benchmark report and of counted work, and the argparse parser the
+command line was once read with."""
 
 import argparse
 import math
-from itertools import islice
 from types import SimpleNamespace
 
-from pentaseries import telescoping
 from pentaseries.pentagonal import pent_terms_upto
 from pentaseries.series import _div_binomial_inplace
 
@@ -124,8 +122,12 @@ def totient(n):
 
 
 def stage_of(method, m):
-    """(low, high, head) of stage m >= 1, read off the recurrence."""
-    return next(islice(telescoping._stages(method), m - 1, None))[1:]
+    """(low, high, head) of stage m >= 1 from the generalized pentagonal
+    numbers, not from the recurrence that telescoping walks."""
+    if method == "method1":
+        low = (3 * m * m + m) // 2
+        return low, (3 * (m + 1) ** 2 - (m + 1)) // 2, low
+    return (3 * m * m - m) // 2, (3 * m * m + m) // 2, 3 * m * (m + 1) // 2
 
 
 def fitted_exponent(records, task):
