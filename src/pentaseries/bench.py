@@ -27,21 +27,18 @@ _TASKS = (
 )
 
 
-def _peak_bits(coeffs) -> int:
-    return max(abs(c).bit_length() for c in coeffs)
-
-
 def run_bench(sizes: list[int]) -> list[BenchRecord]:
     """One BenchRecord per (size, task), sizes outermost."""
     records = []
     for n in sizes:
         for name, fn in _TASKS:
-            result = fn(n)  # untimed warm-up; every call returns the same coefficients
+            # untimed warm-up; every call returns the same coefficients
+            bits = max(abs(c).bit_length() for c in fn(n))
             times = []
             for _ in range(REPETITIONS):
                 start = time.perf_counter_ns()
                 fn(n)
                 times.append(time.perf_counter_ns() - start)
             # REPETITIONS is odd, so the median is the middle sample
-            records.append(BenchRecord(name, n, sorted(times)[REPETITIONS // 2], _peak_bits(result)))
+            records.append(BenchRecord(name, n, sorted(times)[REPETITIONS // 2], bits))
     return records

@@ -334,13 +334,6 @@ def main(argv: list[str] | None = None) -> int:
         print((__doc__ or "").partition("\n\n")[2], end="")
         return 0
     command, opts = parsed
-
-    # Interpreters with an int-to-str digit limit (4,300 by default) would
-    # raise ValueError printing p(n) past n ~ 1.5e7, so the command's own
-    # output runs without it; the caller's limit is restored on return.
-    saved_digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
-    if saved_digits is not None:
-        sys.set_int_max_str_digits(0)
     try:
         return _GRAMMAR[command][0](**opts)
     except MemoryError:
@@ -351,15 +344,15 @@ def main(argv: list[str] | None = None) -> int:
         # a size past the platform's index range fails before any allocation
         print(f"input too large: {command} size exceeds the index range", file=sys.stderr)
         return 2
-    finally:
-        if saved_digits is not None:
-            sys.set_int_max_str_digits(saved_digits)
 
 
 def run() -> None:
     """Console entry point: main(), then a flush of both streams and an exit
     that skips interpreter teardown, which holds nothing this process needs
     (no threads, atexit handlers or open files besides the two streams)."""
+    # p(n) passes the int-to-str digit limit (4,300 by default) near n = 1.5e7
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         code = main()
         sys.stdout.flush()

@@ -494,6 +494,7 @@ def test_memory_error_exits_2_not_mismatch(capsys, monkeypatch):
 BIG = "1" + "0" * 4300  # 10^4300: 4,301 digits
 
 
+@pytest.mark.parametrize("limit", [None, "640"], ids=["default", "640"])
 @pytest.mark.parametrize(
     "argv, shown",
     [
@@ -502,17 +503,28 @@ BIG = "1" + "0" * 4300  # 10^4300: 4,301 digits
     ],
     ids=["text", "json"],
 )
-def test_output_past_the_int_digit_limit_is_printed_whole(capsys, monkeypatch, argv, shown):
-    # p(n) passes 4,300 digits, the default int-to-str limit, near n = 1.5e7;
-    # a fill that large takes hours, so the fill is patched to return 10^4300.
-    # The command lifts the limit for its own output only.
-    monkeypatch.setattr(cli, "partition_values", lambda n: (10**4300,) * (n + 1))
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    assert run_cli(capsys, *argv) == (0, shown, "")
+def test_output_past_the_int_digit_limit_is_printed_whole(argv, shown, limit):
+    # p(n) passes 4,300 digits, the default int-to-str limit, near n = 1.5e7,
+    # and 640, the lowest PYTHONINTMAXSTRDIGITS, near n = 3.4e5; a fill that
+    # large takes hours, so the fill is patched to return 10^4300.
+    env = cli_env()
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
     if limit is not None:
-        assert sys.get_int_max_str_digits() == limit
-        with pytest.raises(ValueError):
-            str(10**4300)
+        env["PYTHONINTMAXSTRDIGITS"] = limit
+    script = "from pentaseries import cli; cli.partition_values = lambda n: (10**4300,) * (n + 1); cli.run()"
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, shown, "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_main_leaves_the_callers_digit_limit_alone(capsys):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run_cli(capsys, "partition", "--n", "10") == (0, "42\n", "")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 INDEX_OVERFLOW = str(2**63)
@@ -835,6 +847,15 @@ def test_run_writes_every_byte_before_its_fast_exit(capsys):
     assert code == 0
     assert len(proc.stdout) > 2_000_000
     assert hashlib.sha256(proc.stdout).hexdigest() == hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_help_without_docstrings_exits_0():
+    # -OO strips the module docstring that --help prints
+    proc = subprocess.run(
+        [sys.executable, "-OO", "-m", "pentaseries.cli", "--help"],
+        capture_output=True, text=True, env=cli_env(), timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def test_run_passes_usage_exit_code_through():
