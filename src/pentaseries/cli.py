@@ -1,5 +1,21 @@
-"""Command-line driver.
+"""Command-line driver; its usage text is _USAGE."""
 
+import os
+import sys
+
+from .bench import BenchRecord, run_bench
+from .partitions import iterated_division_check, partition_values
+from .pentagonal import closed_form_series
+from .roots import root_multiplicities
+from .series import product_series
+from .telescoping import identity_exponents, stream_series, verify_stage
+
+# The roots phase takes 0.19 s at M = 200, 0.72 s at 300 and 2.0 s at 400 in
+# process on a 2-core VM (about M^3.4: M^3 kernel updates on ever wider ints,
+# a third of them the build), so the cap keeps a run well under half a minute.
+_ROOTS_LIMIT = 400
+
+_USAGE = """\
     pentaseries expand    --method {product|method1|method2|closed|all} --order N [--format text|json]
     pentaseries partition --upto N | --n N [--format text|json]
     pentaseries verify    --depth D --order N [--roots M]   (M <= 400)
@@ -16,21 +32,6 @@ method on stderr.  JSON is emitted canonically (fixed key order, no spaces,
 coefficients as decimal strings), so re-serializing a parsed payload gives
 back the same bytes.
 """
-
-import os
-import sys
-
-from .bench import BenchRecord, run_bench
-from .partitions import iterated_division_check, partition_values
-from .pentagonal import closed_form_series
-from .roots import root_multiplicities
-from .series import product_series
-from .telescoping import identity_exponents, stream_series, verify_stage
-
-# The roots phase takes 0.19 s at M = 200, 0.72 s at 300 and 2.0 s at 400 in
-# process on a 2-core VM (about M^3.4: M^3 kernel updates on ever wider ints,
-# a third of them the build), so the cap keeps a run well under half a minute.
-_ROOTS_LIMIT = 400
 
 
 def canonical_json(obj) -> str:
@@ -50,11 +51,6 @@ def canonical_json(obj) -> str:
             return '["' + '","'.join(obj) + '"]' if obj else "[]"
         return "[" + ",".join(map(canonical_json, obj)) + "]"
     raise TypeError(f"not a CLI payload type: {type(obj).__name__}")
-
-
-def _series_json(s: tuple[int, ...]) -> dict:
-    """JSON form: coefficients as decimal strings so nothing can round."""
-    return {"order": len(s) - 1, "coeffs": [str(c) for c in s]}
 
 
 def format_series(s: tuple[int, ...]) -> str:
@@ -105,7 +101,7 @@ def cmd_expand(method: str, order: int, format: str) -> int:
             )
             print(f"{name}: first difference at x^{e}: {names[0]} {want}, {name} {got}", file=sys.stderr)
     if format == "json":
-        payload = _series_json(reference)
+        payload = {"order": len(reference) - 1, "coeffs": [str(c) for c in reference]}
         if verdicts:
             payload["agree"] = verdicts
         print(canonical_json(payload))
@@ -323,15 +319,15 @@ def _parse(argv: list[str]) -> tuple[str, dict] | None:
     return command, {name[2:]: values.get(name, default) for name, (_, default) in grammar.items()}
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: list[str]) -> int:
     """Run one command line and return its exit code; never exits the process."""
     try:
-        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        parsed = _parse(argv)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 2
     if parsed is None:
-        print((__doc__ or "").partition("\n\n")[2], end="")
+        print(_USAGE, end="")
         return 0
     command, opts = parsed
     try:
@@ -347,14 +343,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Console entry point: main(), then a flush of both streams and an exit
-    that skips interpreter teardown, which holds nothing this process needs
-    (no threads, atexit handlers or open files besides the two streams)."""
+    """Console entry point: main(sys.argv[1:]), a flush of both streams and an
+    exit that skips interpreter teardown, which holds nothing this process
+    needs (no threads, atexit handlers or open files besides the two streams)."""
     # p(n) passes the int-to-str digit limit (4,300 by default) near n = 1.5e7
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        code = main()
+        code = main(sys.argv[1:])
         sys.stdout.flush()
         sys.stderr.flush()
     except OSError as exc:

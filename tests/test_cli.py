@@ -799,7 +799,7 @@ def test_unrecognized_argument_with_a_line_break_stays_one_line(capsys):
 def test_help_prints_the_synopsis(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
-    assert out == cli.__doc__.partition("\n\n")[2]
+    assert out == cli._USAGE
     assert "pentaseries verify    --depth D --order N [--roots M]" in out
 
 
@@ -849,13 +849,19 @@ def test_run_writes_every_byte_before_its_fast_exit(capsys):
     assert hashlib.sha256(proc.stdout).hexdigest() == hashlib.sha256(out.encode()).hexdigest()
 
 
-def test_help_without_docstrings_exits_0():
-    # -OO strips the module docstring that --help prints
-    proc = subprocess.run(
-        [sys.executable, "-OO", "-m", "pentaseries.cli", "--help"],
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["expand", "--method", "all", "--order", "40"], ["expand", "--method", "closed"]],
+    ids=["help", "expand-all", "usage-error"],
+)
+def test_stripped_docstrings_change_no_output(argv):
+    # -OO strips every docstring, so no output may be read from one
+    stripped = subprocess.run(
+        [sys.executable, "-OO", "-m", "pentaseries.cli", *argv],
         capture_output=True, text=True, env=cli_env(), timeout=30,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    plain = run_cli_subprocess(*argv)
+    assert (stripped.returncode, stripped.stdout, stripped.stderr) == (plain.returncode, plain.stdout, plain.stderr)
 
 
 def test_run_passes_usage_exit_code_through():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from pentaseries import cli
@@ -304,9 +306,11 @@ def test_partial_product_coefficients_stay_small():
     assert set(s) <= {-1, 0, 1}
 
 
-def test_json_round_trip(rng):
+def test_json_round_trip(rng, monkeypatch, capsys):
     a = random_series(rng, 17, lo=-(10**30), hi=10**30)
-    obj = cli._series_json(a)
+    monkeypatch.setitem(cli._EXPANSIONS, "product", lambda order: a)
+    assert cli.main(["expand", "--method", "product", "--order", "17", "--format", "json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
     assert obj["order"] == 17
     assert all(isinstance(c, str) for c in obj["coeffs"])
     assert tuple(int(c) for c in obj["coeffs"]) == a
