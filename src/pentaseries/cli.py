@@ -1,5 +1,6 @@
 """Command-line driver; its usage text is _USAGE."""
 
+import errno
 import os
 import sys
 
@@ -130,12 +131,9 @@ def cmd_partition(upto: int | None, n: int | None, format: str) -> int:
 
 
 def cmd_verify(depth: int, order: int, roots: int) -> int:
-    try:
-        for method in ("method1", "method2"):
-            identity_exponents(method, depth, order)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    # a stage at or above the order raises ValueError before any stage is walked
+    for method in ("method1", "method2"):
+        identity_exponents(method, depth, order)
 
     # One (line, ok, stream) record per check, in output order, printed and counted
     # only once every check has run, so a resource failure partway prints nothing.
@@ -246,10 +244,6 @@ _ONE_OF = {"partition": ("--upto", "--n")}
 _HELP = ("-h", "--help")
 
 
-class _UsageError(Exception):
-    """An argv outside the grammar; str() is the one line for stderr."""
-
-
 def _option_like(token: str) -> bool:
     """Whether argparse reads the token as an option rather than as a value:
     it starts with '-' and is not '-', a negative number or a string with a
@@ -264,7 +258,7 @@ def _option_like(token: str) -> bool:
 
 def _parse(argv: list[str]) -> tuple[str, dict] | None:
     """(command, {option name without dashes: value}) for an argv in the
-    grammar, None when it asks for help; otherwise raises _UsageError with
+    grammar, None when it asks for help; otherwise raises ValueError with
     the line argparse would end with.
 
     Options take `--opt value` or `--opt=value` in any order, and a repeated
@@ -273,13 +267,13 @@ def _parse(argv: list[str]) -> tuple[str, dict] | None:
     arguments.  Unlike argparse, a prefix of an option is not accepted.
     """
     if not argv:
-        raise _UsageError("pentaseries: error: the following arguments are required: command")
+        raise ValueError("pentaseries: error: the following arguments are required: command")
     command, *rest = argv
     if command in _HELP:
         return None
     if command not in _GRAMMAR:
         choices = ", ".join(map(repr, _GRAMMAR))
-        raise _UsageError(
+        raise ValueError(
             f"pentaseries: error: argument command: invalid choice: {command!r} (choose from {choices})"
         )
     prog = f"pentaseries {command}"
@@ -294,7 +288,7 @@ def _parse(argv: list[str]) -> tuple[str, dict] | None:
         if token in grammar:
             name, text = token, next(tokens, None)
             if text is None or _option_like(text):
-                raise _UsageError(f"{prog}: error: argument {name}: expected one argument")
+                raise ValueError(f"{prog}: error: argument {name}: expected one argument")
         else:
             name, eq, text = token.partition("=")
             if not (eq and name in grammar):
@@ -303,19 +297,19 @@ def _parse(argv: list[str]) -> tuple[str, dict] | None:
         try:
             values[name] = grammar[name][0](text)
         except ValueError as exc:
-            raise _UsageError(f"{prog}: error: argument {name}: {exc}") from None
+            raise ValueError(f"{prog}: error: argument {name}: {exc}") from None
         if name in group:
             for other in group:
                 if other != name and other in values:
-                    raise _UsageError(f"{prog}: error: argument {name}: not allowed with argument {other}")
+                    raise ValueError(f"{prog}: error: argument {name}: not allowed with argument {other}")
     missing = [name for name, (_, default) in grammar.items() if default is _REQUIRED and name not in values]
     if missing:
-        raise _UsageError(f"{prog}: error: the following arguments are required: {', '.join(missing)}")
+        raise ValueError(f"{prog}: error: the following arguments are required: {', '.join(missing)}")
     if group and not any(name in values for name in group):
-        raise _UsageError(f"{prog}: error: one of the arguments {' '.join(group)} is required")
+        raise ValueError(f"{prog}: error: one of the arguments {' '.join(group)} is required")
     if extras:
         shown = " ".join(t if t.isprintable() else repr(t) for t in extras)
-        raise _UsageError(f"pentaseries: error: unrecognized arguments: {shown}")
+        raise ValueError(f"pentaseries: error: unrecognized arguments: {shown}")
     return command, {name[2:]: values.get(name, default) for name, (_, default) in grammar.items()}
 
 
@@ -323,22 +317,22 @@ def main(argv: list[str]) -> int:
     """Run one command line and return its exit code; never exits the process."""
     try:
         parsed = _parse(argv)
-    except _UsageError as exc:
+        if parsed is None:
+            print(_USAGE, end="")
+            return 0
+        command, opts = parsed
+        return _GRAMMAR[command][0](**opts)
+    except ValueError as exc:
+        # an argv outside the grammar, or an argument a command rejects
         print(exc, file=sys.stderr)
         return 2
-    if parsed is None:
-        print(_USAGE, end="")
-        return 0
-    command, opts = parsed
-    try:
-        return _GRAMMAR[command][0](**opts)
     except MemoryError:
         # a resource failure is a precondition error, never a mismatch (1)
-        print(f"out of memory: {command} input too large", file=sys.stderr)
+        print(f"out of memory: {argv[0]} input too large", file=sys.stderr)
         return 2
     except OverflowError:
         # a size past the platform's index range fails before any allocation
-        print(f"input too large: {command} size exceeds the index range", file=sys.stderr)
+        print(f"input too large: {argv[0]} size exceeds the index range", file=sys.stderr)
         return 2
 
 
@@ -349,7 +343,13 @@ def run() -> None:
     # p(n) passes the int-to-str digit limit (4,300 by default) near n = 1.5e7
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    # a stream closed at start is None: stderr then writes nowhere, and a closed
+    # stdout is an output failure before any work
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
     try:
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = main(sys.argv[1:])
         sys.stdout.flush()
         sys.stderr.flush()

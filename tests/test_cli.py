@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -527,6 +528,21 @@ def test_main_leaves_the_callers_digit_limit_alone(capsys):
         sys.set_int_max_str_digits(saved)
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_value_error_after_parsing_exits_2_with_one_line(capsys, monkeypatch):
+    # under the caller's limit, a 701-digit p(0) fails in str() after the argv
+    # parsed: main maps that ValueError to 2, as it maps a usage error
+    monkeypatch.setattr(cli, "partition_values", lambda n: (10**700,))
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "partition", "--n", "0")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "limit" in err
+
+
 INDEX_OVERFLOW = str(2**63)
 
 
@@ -766,7 +782,7 @@ def test_dash_values_read_as_argparse_reads_them(token):
     try:
         command, opts = cli._parse(argv)
         outcome = "ok", {"command": command, **opts}
-    except cli._UsageError as exc:
+    except ValueError as exc:
         outcome = "exit", 2, f"{exc}\n"
     assert outcome == argparse_outcome(argparse_oracle(), argv)
 
@@ -880,6 +896,37 @@ def test_full_disk_exits_2_with_one_line():
         )
     assert proc.returncode == 2
     assert proc.stderr == "pentaseries: error: output failed: No space left on device\n"
+
+
+def run_cli_with_closed(redirect, *argv):
+    """The CLI with one of its standard streams closed by the shell."""
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "pentaseries.cli", *argv],
+        capture_output=True, text=True, env=cli_env(), timeout=30,
+    )
+
+
+needs_sh = pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")
+
+
+@needs_sh
+def test_closed_stdout_exits_2_with_one_line():
+    proc = run_cli_with_closed(">&-", "partition", "--n", "5")
+    assert proc.returncode == 2
+    assert proc.stderr == "pentaseries: error: output failed: Bad file descriptor\n"
+
+
+@needs_sh
+def test_closed_stderr_keeps_a_success():
+    proc = run_cli_with_closed("2>&-", "partition", "--n", "5")
+    plain = run_cli_subprocess("partition", "--n", "5")
+    assert (proc.returncode, proc.stdout) == (plain.returncode, plain.stdout) == (0, "7\n")
+
+
+@needs_sh
+def test_closed_stderr_keeps_a_usage_error_off_stdout():
+    proc = run_cli_with_closed("2>&-", "bogus")
+    assert (proc.returncode, proc.stdout) == (2, "")
 
 
 def test_pipe_closed_early_exits_2_with_one_line():
