@@ -7,8 +7,7 @@ computation here.
 
 import operator
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
-from itertools import count
+from collections.abc import Sequence
 
 Term = namedtuple("Term", "sign exponent")
 Term.__doc__ = "One signed term sign * x^exponent of a sparse series."
@@ -52,33 +51,31 @@ def series_inverse(a: Sequence[int]) -> tuple[int, ...]:
     return tuple(b)
 
 
-def _alternating_nest(length: int, levels: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """sum over i >= 0 of (-1)^i x^(e_i) / ((1 - x^b_1)...(1 - x^b_i)) modulo x^length.
+def _alternating_nest(length: int, shift: int, base: int) -> tuple[int, ...]:
+    """The alternating nest modulo x^length, for length >= 1:
 
-    Level i is (gap, b) with gap = e_i - e_(i-1) >= 1 and e_0 = 0; levels are
-    read only while e_i < length, so an endless iterable is fine.  In nested
-    (Horner) form from the innermost level outward, level i is kept modulo
-    x^(length - e_(i-1)) at one prefix-divide pass by (1 - x^b) and a prepend.
+        sum over i >= 0 of (-1)^i x^(e_i) / ((1 - x^(base+1))...(1 - x^(base+i))),
+
+    where e_i = shift*i + i(i+1)/2.  Only the levels with e_i < length are
+    read.  In nested (Horner) form from the innermost level n outward, level
+    i is kept modulo x^(length - e_(i-1)) at one prefix-divide pass by
+    (1 - x^(base+i)) and a prepend of its gap e_i - e_(i-1) = shift + i.
     """
-    if length < 1:
-        return ()
     # allocated first, so a length too large for memory fails before any level
     c = [0] * length
-    kept, e = [], 0
-    for level in levels:
-        if e + level[0] >= length:
-            break
-        kept.append(level)
-        e += level[0]
+    n = e = 0
+    while e + shift + n + 1 < length:
+        n += 1
+        e += shift + n
     # c holds the nest from level i inward times (-1)^i, so the alternating
     # sign sits in each prepended constant and no pass negates.  The
-    # innermost nest is 1, cut to the length its x^(e_i) leaves.
+    # innermost nest is 1, cut to the length its x^(e_n) leaves.
     del c[length - e :]
-    sign = c[0] = -1 if len(kept) % 2 else 1
-    for gap, b in reversed(kept):
-        _div_binomial_inplace(c, b)
+    sign = c[0] = -1 if n % 2 else 1
+    for i in range(n, 0, -1):
+        _div_binomial_inplace(c, base + i)
         sign = -sign
-        c[:0] = [sign] + [0] * (gap - 1)
+        c[:0] = [sign] + [0] * (shift + i - 1)
     return tuple(c)
 
 
@@ -88,11 +85,11 @@ def product_series(order: int) -> tuple[int, ...]:
 
         prod over n >= 1 of (1 - x^n) = sum over j >= 0 of (-1)^j x^(j(j+1)/2) / ((1 - x)...(1 - x^j)).
 
-    That is the alternating nest (_alternating_nest) with levels (j, j).  Only
+    That is the alternating nest (_alternating_nest) with shift 0 and base 0.  Only
     the j with j(j+1)/2 <= order reach the order, about sqrt(2 * order) of them,
     each one prefix-divide pass: about 0.94 * order^1.5 element updates, where
     one multiply pass per factor makes order^2/4.
     """
     if order < 0:
         raise ValueError("negative order")
-    return _alternating_nest(order + 1, ((j, j) for j in count(1)))
+    return _alternating_nest(order + 1, 0, 0)

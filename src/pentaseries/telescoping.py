@@ -29,7 +29,6 @@ Streams carry nothing but (sign, exponent) pairs.
 
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import count
 
 from .series import Term, _alternating_nest
 
@@ -138,8 +137,8 @@ def residual_series(method: str, m: int, order: int) -> tuple[int, ...]:
 
         x^h * sum over i >= 0 of (-1)^i x^(2mi + i(i+1)/2) / ((1 - x^(m+1))...(1 - x^(m+i))),
 
-    the alternating nest (see series._alternating_nest) with levels
-    (2m + i, m + i): only the i with 2mi + i(i+1)/2 <= order - h are read,
+    the alternating nest (see series._alternating_nest) with shift 2m and
+    base m: only the i with 2mi + i(i+1)/2 <= order - h are read,
     about sqrt(2 * order) of them instead of the order / m summands.
     The recurrences make t = h + m, so method 2's j-th summand is method 1's
     (j+1)-th and the two letters add up to x^h: method 2 is x^(t-m) minus
@@ -162,8 +161,7 @@ def residual_series(method: str, m: int, order: int) -> tuple[int, ...]:
         acc = [-c for c in residual_series("method1", m, order)]
         acc[head - m] += 1
         return tuple(acc)
-    acc[head:] = _alternating_nest(order - head + 1, ((2 * m + i, m + i) for i in count(1)))
-    return tuple(acc)
+    return (0,) * head + _alternating_nest(order - head + 1, 2 * m, m)
 
 
 def verify_stage(method: str, m: int, order: int) -> bool:

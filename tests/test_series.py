@@ -225,25 +225,24 @@ def test_partial_product_matches_descending_oracle_edges(factors, order):
         assert tuple(p + [0] * (order + 1 - len(p))) == descending_product_oracle(factors, order)
 
 
-def read_below(length, levels):
-    # the kernel may read the first level at or past the length, never one after it
-    e = 0
-    for level in levels:
-        yield level
-        e += level[0]
-        assert e < length, "read a level after the first one at or past the length"
-
-
 def test_alternating_nest_matches_groups_expanded_alone(rng):
+    # shifts up to 60 cover 2m to verify's depth 30, and bases both below and
+    # at or past the length
+    shapes = []
     for _ in range(400):
-        length = rng.randint(0, 60)
-        # gaps of 1 included, denominators both below and at or past the length
-        levels = [
-            (rng.choice((1, 1, 2, 3, 5, 8)), rng.randint(1, length + 2))
-            for _ in range(rng.randint(0, 12))
-        ]
-        got = _alternating_nest(length, read_below(length, levels))
-        assert got == nest_oracle(length, levels), (length, levels)
+        length = rng.randint(1, 60)
+        shapes.append((length, rng.randint(0, 60), rng.randint(0, length + 2)))
+    # a length of e_n + 1 reads level n and a length of e_n does not: for the
+    # product and for the residuals of stages 1, 5 and 30
+    for shift, base in ((0, 0), (2, 1), (10, 5), (60, 30)):
+        for n in range(1, 16):
+            e_n = shift * n + n * (n + 1) // 2
+            if e_n <= 130:
+                shapes += [(e_n, shift, base), (e_n + 1, shift, base)]
+    for length, shift, base in shapes:
+        levels = [(shift + i, base + i) for i in range(1, length + 1)]
+        got = _alternating_nest(length, shift, base)
+        assert got == nest_oracle(length, levels), (length, shift, base)
 
 
 def test_binomial_kernels_match_per_element_oracles(rng):
