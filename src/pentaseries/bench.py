@@ -1,9 +1,9 @@
 """Timing harness for the product expansion and the two partition routes.
 
-Reporting only: nothing here passes or fails.  Each task runs once as an
-untimed warm-up, whose result gives the peak coefficient bit-length, and
-then five times on the monotonic clock; the recorded wall time is the
-median.  The bit-length is reported because the two partition routes are
+Reporting only: nothing here passes or fails.  Each task runs five times,
+every call timed on the monotonic clock, and the recorded wall time is the
+median.  The peak coefficient bit-length is read from a result after its
+clock stops.  It is reported because the two partition routes are
 big-integer algorithms and their operand sizes grow with n.  The command
 line prints the records as CSV or JSON.
 """
@@ -32,13 +32,14 @@ def run_bench(sizes: list[int]) -> list[BenchRecord]:
     records = []
     for n in sizes:
         for name, fn in _TASKS:
-            # untimed warm-up; every call returns the same coefficients
-            bits = max(abs(c).bit_length() for c in fn(n))
             times = []
             for _ in range(REPETITIONS):
                 start = time.perf_counter_ns()
-                fn(n)
+                result = fn(n)
                 times.append(time.perf_counter_ns() - start)
+                bits = max(abs(c).bit_length() for c in result)
+                # no earlier result stays alive through the next timed call
+                del result
             # REPETITIONS is odd, so the median is the middle sample
             records.append(BenchRecord(name, n, sorted(times)[REPETITIONS // 2], bits))
     return records

@@ -27,11 +27,11 @@ keeps its last value.  A prefix of an option name is not accepted.
 
 Exit codes: 0 success (all checks pass), 1 mathematical mismatch, 2 usage or
 precondition error, including an input too large for memory or for the
-platform's index range, and a failed write of the output.  On a mismatch,
-`expand --method all` names the first differing exponent of each disagreeing
-method on stderr.  JSON is emitted canonically (fixed key order, no spaces,
-coefficients as decimal strings), so re-serializing a parsed payload gives
-back the same bytes.
+platform's index range, and a failed write of the output; 130 interrupted
+(Ctrl-C).  On a mismatch, `expand --method all` names the first differing
+exponent of each disagreeing method on stderr.  JSON is emitted canonically
+(fixed key order, no spaces, coefficients as decimal strings), so
+re-serializing a parsed payload gives back the same bytes.
 """
 
 
@@ -347,6 +347,7 @@ def run() -> None:
     # stdout is an output failure before any work
     if sys.stderr is None:
         sys.stderr = open(os.devnull, "w")
+    line = None
     try:
         if sys.stdout is None:
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -355,9 +356,13 @@ def run() -> None:
         sys.stderr.flush()
     except OSError as exc:
         # a failed write (closed pipe, full disk) exits 2, never 1, which means a mismatch
-        code = 2
+        code, line = 2, f"pentaseries: error: output failed: {exc.strerror or exc}"
+    except KeyboardInterrupt:
+        # 128 + SIGINT, the shell's code for a command stopped by Ctrl-C
+        code, line = 130, "pentaseries: interrupted"
+    if line is not None:
         try:
-            print(f"pentaseries: error: output failed: {exc.strerror or exc}", file=sys.stderr, flush=True)
+            print(line, file=sys.stderr, flush=True)
         except OSError:
             pass  # stderr failed too: the exit code is all that is left to report
     os._exit(code)

@@ -30,7 +30,8 @@ def work(monkeypatch):
     "updates" and to "updates".  Every binding of a kernel in a loaded
     pentaseries module is wrapped, found by identity.  "steps" counts the
     fill's cursor steps, through iter in partitions, and "terms"
-    series_inverse's inner-product terms, through reversed in series.
+    series_inverse's inner-product terms, through reversed in series, whose
+    only caller of reversed it is.
     """
     work = Work()
     kernels = {series._mul_binomial_inplace: "mul", series._div_binomial_inplace: "div"}
@@ -58,9 +59,7 @@ def work(monkeypatch):
             yield window
 
     def reversing(b):
-        # the nest in series reverses its level list too, which is no term
-        if sys._getframe(1).f_code is series.series_inverse.__code__:
-            work["terms"] += len(b)
+        work["terms"] += len(b)
         return reversed(b)
 
     monkeypatch.setattr(partitions, "iter", cursor, raising=False)

@@ -3,8 +3,10 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -432,11 +434,13 @@ def test_bench_json_round_trip(capsys):
     line = out.strip()
     payload = json.loads(line)
     assert [r["task"] for r in payload] == ["product", "partition_inverse", "partition_recurrence"]
+    # s = 1 - x - x^2 + ... needs 1 bit; p(50) = 204226 needs 18
+    assert [r["max_coeff_bits"] for r in payload] == [1, 18, 18]
     assert canonical_json(payload) == line
 
 
 def test_bench_records_the_median_of_the_timed_calls(monkeypatch):
-    # per (size, task): one warm-up, then five timed calls taking these ns
+    # per (size, task): five timed calls taking these ns
     durations = {30: [50, 10, 40, 20, 30], 70: [7, 9, 6, 10, 8]}
     stamps = []
     for n in durations:
@@ -457,9 +461,19 @@ def test_bench_records_the_median_of_the_timed_calls(monkeypatch):
     monkeypatch.setattr(bench.time, "perf_counter_ns", clock)
     records = bench.run_bench(list(durations))
     assert [(r.n, r.wall_ns, r.max_coeff_bits) for r in records] == [(30, 30, 5), (70, 8, 7)]
-    # the warm-up call runs before the first clock read of its size, untimed
-    assert events == (["call"] + ["clock", "call", "clock"] * 5) * 2
+    # every call runs between two clock reads: none is untimed
+    assert events == ["clock", "call", "clock"] * 5 * 2
     assert stamps == []
+
+
+def test_bench_holds_no_earlier_result_through_a_timed_call(monkeypatch, memory):
+    # each call builds a fresh 0.8 MB list: a result kept through the next
+    # call would double the peak
+    def task(n):
+        return [n] * n
+
+    monkeypatch.setattr(bench, "_TASKS", (("t", task),))
+    assert memory(bench.run_bench, [100_000]) < 1.5 * memory(task, 100_000)
 
 
 def test_bench_rejects_unordered_sizes(capsys):
@@ -941,3 +955,32 @@ def test_pipe_closed_early_exits_2_with_one_line():
     assert head == "1 1 2 3 5 "
     assert proc.returncode == 2
     assert err == "pentaseries: error: output failed: Broken pipe\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs SIGINT sent to a child process")
+def test_interrupt_exits_130_with_one_line(tmp_path):
+    # the builder marks that work has started, then stalls until the signal
+    marker = tmp_path / "started"
+    script = (
+        "import time\n"
+        "from pentaseries import cli\n"
+        "def stalled(n):\n"
+        f"    open({str(marker)!r}, 'w').close()\n"
+        "    time.sleep(60)\n"
+        "cli.partition_values = stalled\n"
+        "cli.run()\n"
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", script, "partition", "--n", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env(),
+    ) as proc:
+        try:
+            deadline = time.monotonic() + 30
+            while not marker.exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert (proc.returncode, out, err) == (130, "", "pentaseries: interrupted\n")
