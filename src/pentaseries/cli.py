@@ -16,10 +16,10 @@ from .telescoping import identity_exponents, stream_series, verify_stage
 # a third of them the build), so the cap keeps a run well under half a minute.
 _ROOTS_LIMIT = 400
 
-_USAGE = """\
-    pentaseries expand    --method {product|method1|method2|closed|all} --order N [--format text|json]
+_USAGE = f"""\
+    pentaseries expand    --method {{product|method1|method2|closed|all}} --order N [--format text|json]
     pentaseries partition --upto N | --n N [--format text|json]
-    pentaseries verify    --depth D --order N [--roots M]   (M <= 400)
+    pentaseries verify    --depth D --order N [--roots M]   (M <= {_ROOTS_LIMIT})
     pentaseries bench     --sizes 2000,4000,8000 [--format csv|json]
 
 Options take `--opt value` or `--opt=value`, in any order; a repeated option
@@ -38,18 +38,17 @@ re-serializing a parsed payload gives back the same bytes.
 def canonical_json(obj) -> str:
     """The bytes of json.dumps(obj, separators=(",", ":")) for the CLI's dicts,
     lists, ints, bools and strings.  No string needs escaping: each is str() of
-    an int or a fixed name (a payload key, a route in "agree", a bench task)."""
+    an int or a fixed name (a payload key, a route in "agree", a bench task).
+    Strings are tested first, since they are nearly every list element."""
+    if isinstance(obj, str):
+        return f'"{obj}"'
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
-    if isinstance(obj, str):
-        return f'"{obj}"'
     if isinstance(obj, dict):
         return "{" + ",".join(f'"{k}":{canonical_json(v)}' for k, v in obj.items()) + "}"
     if isinstance(obj, list):
-        if all(isinstance(x, str) for x in obj):
-            return '["' + '","'.join(obj) + '"]' if obj else "[]"
         return "[" + ",".join(map(canonical_json, obj)) + "]"
     raise TypeError(f"not a CLI payload type: {type(obj).__name__}")
 

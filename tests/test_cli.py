@@ -440,29 +440,43 @@ def test_bench_json_round_trip(capsys):
 
 
 def test_bench_records_the_median_of_the_timed_calls(monkeypatch):
-    # per (size, task): five timed calls taking these ns
-    durations = {30: [50, 10, 40, 20, 30], 70: [7, 9, 6, 10, 8]}
-    stamps = []
-    for n in durations:
-        for d in durations[n]:
-            start = 1000 * len(stamps)
+    # per (size, task): the ns each timed call takes.  "fast" stays under
+    # the budget and makes all five calls; "slow" reaches it after one call
+    # at n = 30 and after two at n = 70, whose median is the upper one
+    budget = bench.BUDGET_NS
+    durations = {
+        (30, "fast"): [50, 10, 40, 20, 30],
+        (30, "slow"): [budget],
+        (70, "fast"): [7, 9, 6, 10, 8],
+        (70, "slow"): [budget - 1, 5],
+    }
+    stamps, expected = [], []
+    for (n, name), calls in durations.items():
+        for d in calls:
+            start = 10 * budget * len(stamps)
             stamps += [start, start + d]
+            # every call runs between two clock reads: none is untimed
+            expected += ["clock", ("call", name, n), "clock"]
     events = []
 
     def clock():
         events.append("clock")
         return stamps.pop(0)
 
-    def task(n):
-        events.append("call")
-        return [n]
+    def task(name):
+        def call(n):
+            events.append(("call", name, n))
+            return [n]
 
-    monkeypatch.setattr(bench, "_TASKS", (("t", task),))
+        return name, call
+
+    monkeypatch.setattr(bench, "_TASKS", (task("fast"), task("slow")))
     monkeypatch.setattr(bench.time, "perf_counter_ns", clock)
-    records = bench.run_bench(list(durations))
-    assert [(r.n, r.wall_ns, r.max_coeff_bits) for r in records] == [(30, 30, 5), (70, 8, 7)]
-    # every call runs between two clock reads: none is untimed
-    assert events == ["clock", "call", "clock"] * 5 * 2
+    records = bench.run_bench([30, 70])
+    assert records == [
+        ("fast", 30, 30, 5), ("slow", 30, budget, 5), ("fast", 70, 8, 7), ("slow", 70, budget - 1, 7),
+    ]
+    assert events == expected
     assert stamps == []
 
 
@@ -831,6 +845,14 @@ def test_help_prints_the_synopsis(capsys, argv):
     assert (code, err) == (0, "")
     assert out == cli._USAGE
     assert "pentaseries verify    --depth D --order N [--roots M]" in out
+
+
+def test_usage_names_every_command_and_option_and_the_roots_cap():
+    for command, (_, grammar) in cli._GRAMMAR.items():
+        assert f"pentaseries {command} " in cli._USAGE
+        for option in grammar:
+            assert f"{option} " in cli._USAGE
+    assert f"M <= {cli._ROOTS_LIMIT})" in cli._USAGE
 
 
 @pytest.mark.parametrize(
