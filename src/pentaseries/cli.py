@@ -179,10 +179,8 @@ def _count(low: int, high: int | None = None):
             value = int(text)
         except ValueError:
             raise ValueError(f"not an integer: {text!r}") from None
-        if value < 0:
-            raise ValueError("must be >= 0")
         if value < low:
-            raise ValueError(f"must be >= {low}")
+            raise ValueError(f"must be >= {0 if value < 0 else low}")
         if high is not None and value > high:
             raise ValueError(f"must be <= {high}")
         return value
@@ -284,15 +282,14 @@ def _parse(argv: list[str]) -> tuple[str, dict] | None:
     for token in tokens:
         if token in _HELP:
             return None
-        if token in grammar:
-            name, text = token, next(tokens, None)
+        name, eq, text = token.partition("=")
+        if name not in grammar:
+            extras.append(token)
+            continue
+        if not eq:
+            text = next(tokens, None)
             if text is None or _option_like(text):
                 raise ValueError(f"{prog}: error: argument {name}: expected one argument")
-        else:
-            name, eq, text = token.partition("=")
-            if not (eq and name in grammar):
-                extras.append(token)
-                continue
         try:
             values[name] = grammar[name][0](text)
         except ValueError as exc:

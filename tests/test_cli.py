@@ -291,7 +291,7 @@ def test_stage_order_boundary_agrees_with_verify_stage(capsys, depth):
     for method, need in needs.items():
         with pytest.raises(ValueError, match="order below stage emissions"):
             verify_stage(method, depth, need - 1)
-        verify_stage(method, depth, need)
+        assert verify_stage(method, depth, need) is True
     max_need = max(needs.values())
     argv = ["verify", "--depth", str(depth), "--roots", "1", "--order"]
     assert run_cli(capsys, *argv, str(max_need - 1))[0] == 2
@@ -799,20 +799,39 @@ def test_parser_forms_and_repeats():
         "expand", {"method": "closed", "order": 0, "format": "text"})
 
 
-@pytest.mark.parametrize(
-    "token", ["-", "-1", "-1.5", "-.5", "-1.", "-.", "--", "-x", "-1\n", "-1.5\n", "- 1", "-a b", "-5 "]
-)
+def parse_outcome(argv):
+    """_parse's result in argparse_outcome's shape."""
+    try:
+        command, opts = cli._parse(argv)
+        return "ok", {"command": command, **opts}
+    except ValueError as exc:
+        return "exit", 2, f"{exc}\n"
+
+
+DASH_TOKENS = ["-", "-1", "-1.5", "-.5", "-1.", "-.", "--", "-x", "-1\n", "-1.5\n", "- 1", "-a b", "-5 "]
+
+
+@pytest.mark.parametrize("token", DASH_TOKENS)
 def test_dash_values_read_as_argparse_reads_them(token):
     # each of _option_like's rules both ways: '-' alone, negative integers and
     # decimals, a final newline, and a space anywhere make a value; any other
     # token after the dash makes an option, and so a missing value
     argv = ["verify", "--depth", "1", "--order", token]
-    try:
-        command, opts = cli._parse(argv)
-        outcome = "ok", {"command": command, **opts}
-    except ValueError as exc:
-        outcome = "exit", 2, f"{exc}\n"
-    assert outcome == argparse_outcome(argparse_oracle(), argv)
+    assert parse_outcome(argv) == argparse_outcome(argparse_oracle(), argv)
+
+
+# "--" is left out: argparse 3.10-3.12 reads --order=-- as an empty list, 3.13 rejects it
+@pytest.mark.parametrize("token", [t for t in DASH_TOKENS if t != "--"] + ["--format", ""])
+def test_values_after_equals_are_read_whole_as_argparse_reads_them(token):
+    # after '=' the whole rest of the token is the value, even one that
+    # would read as an option after a space
+    argv = ["verify", "--depth", "1", f"--order={token}"]
+    assert parse_outcome(argv) == argparse_outcome(argparse_oracle(), argv)
+
+
+def test_double_dash_after_equals_is_not_an_integer(capsys):
+    assert run_cli(capsys, "verify", "--depth", "1", "--order=--") == (
+        2, "", "pentaseries verify: error: argument --order: not an integer: '--'\n")
 
 
 @pytest.mark.parametrize(
